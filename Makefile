@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-json bench-gate
+.PHONY: check build vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-layers bench-json bench-gate
 
 check: vet metalint lint-inventory secretflow-test test dispatch-race
 
@@ -67,6 +67,16 @@ hunt-smoke:
 # machine (the outputs are byte-identical either way).
 bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkRunAll' -benchtime=1x .
+
+# Per-layer host-time benchmarks for the set-up paths the profile names:
+# machine construction, eviction-set search, integrity-tree subtree reset,
+# and DRAM background bursts. CI runs them once each (BENCHTIME=1x) so
+# they keep compiling and running.
+BENCHTIME ?= 1s
+
+bench-layers:
+	$(GO) test -run='^$$' -bench='^Benchmark(NewSystem|BuildEvictionSet|SubtreeReset|DRAMBackground)$$' \
+		-benchmem -benchtime=$(BENCHTIME) ./internal/machine ./internal/core ./internal/itree ./internal/dram
 
 # Substrate microbenchmarks + fixed-grid sweep throughput as a
 # machine-readable record (DESIGN.md §11). bench-json refreshes the

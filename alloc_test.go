@@ -25,3 +25,26 @@ func TestSecureReadSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state secure read allocates %.2f objects per access; want 0", avg)
 	}
 }
+
+// TestNewSystemAllocs pins machine construction at a couple hundred heap
+// allocations, independent of capacity: caches allocate their line arrays
+// on first fill and the integrity trees and counters materialize state
+// lazily, so building a machine costs what a run touches rather than the
+// size of the simulated hardware.
+func TestNewSystemAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dp   DesignPoint
+	}{
+		{"SCT", ConfigSCT()},
+		{"HT", ConfigHT()},
+		{"SGX", ConfigSGX()},
+	} {
+		dp := tc.dp
+		avg := testing.AllocsPerRun(5, func() { NewSystem(dp) })
+		t.Logf("NewSystem(%s): %.0f allocs", tc.name, avg)
+		if avg > 200 {
+			t.Errorf("NewSystem(%s) allocates %.0f objects; want <= 200", tc.name, avg)
+		}
+	}
+}

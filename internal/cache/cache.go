@@ -52,18 +52,47 @@ type Stats struct {
 	Writebacks uint64 // dirty evictions
 }
 
+// line is one way of a set. stamp packs the line's last-use tick with its
+// flags (tick<<2 | dirty | valid), which keeps a line at 16 bytes — the
+// L3's line array is a third smaller than with separate fields. Every
+// access or fill takes a fresh tick, so no two valid lines share one and
+// comparing stamps orders valid lines by recency.
 type line struct {
-	block   arch.BlockID
-	valid   bool
-	dirty   bool
-	lastUse uint64
+	block arch.BlockID
+	stamp uint64
+}
+
+const (
+	validBit uint64 = 1
+	dirtyBit uint64 = 2
+	flagBits        = 2 // low stamp bits holding the flags
+)
+
+func (l *line) valid() bool { return l.stamp&validBit != 0 }
+func (l *line) dirty() bool { return l.stamp&dirtyBit != 0 }
+
+// touch stamps the line with the current tick, keeping it valid and
+// adding dirty (when set) to its dirty state.
+func (l *line) touch(tick uint64, dirty bool) {
+	l.stamp = tick<<flagBits | l.stamp&dirtyBit | validBit
+	if dirty {
+		l.stamp |= dirtyBit
+	}
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator is single-threaded by design (determinism).
+//
+// The lines live in one flat set-major array (set si occupies
+// lines[si*ways : (si+1)*ways]) that is allocated by the first Insert. A
+// cache that is never filled — an idle core's L1/L2, the metadata cache of
+// an insecure baseline — costs no line storage, and every query treats the
+// nil array as an empty cache.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	mask  uint64 // sets-1; the set count is a power of two
+	ways  int
+	lines []line
 	tick  uint64
 	rng   *arch.RNG
 	stats Stats
@@ -87,11 +116,7 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, n))
 	}
-	sets := make([][]line, n)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets, rng: arch.NewRNG(cfg.Seed ^ 0xcafe)}
+	return &Cache{cfg: cfg, mask: uint64(n - 1), ways: cfg.Ways, rng: arch.NewRNG(cfg.Seed ^ 0xcafe)}
 }
 
 // Config returns the cache's configuration.
@@ -102,45 +127,52 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // SetIndex returns the set a block maps to.
 func (c *Cache) SetIndex(b arch.BlockID) int {
-	return int(uint64(b) & uint64(len(c.sets)-1))
+	return int(uint64(b) & c.mask)
 }
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() arch.Cycles { return c.cfg.HitLatency }
 
-func (c *Cache) find(b arch.BlockID) (int, int) {
-	si := c.SetIndex(b)
-	for wi := range c.sets[si] {
-		if c.sets[si][wi].valid && c.sets[si][wi].block == b {
-			return si, wi
+// set returns the ways of the set a block maps to, or nil while the cache
+// has never been filled.
+func (c *Cache) set(b arch.BlockID) []line {
+	if c.lines == nil {
+		return nil
+	}
+	base := c.SetIndex(b) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
+}
+
+// find returns the line holding b, or nil when b is not resident.
+func (c *Cache) find(b arch.BlockID) *line {
+	set := c.set(b)
+	for wi := range set {
+		if set[wi].valid() && set[wi].block == b {
+			return &set[wi]
 		}
 	}
-	return si, -1
+	return nil
 }
 
 // Contains reports whether the block is present without updating
 // replacement state. It exists for the simulator's introspection and for
 // tests; real accesses go through Access/Insert.
 func (c *Cache) Contains(b arch.BlockID) bool {
-	_, wi := c.find(b)
-	return wi >= 0
+	return c.find(b) != nil
 }
 
 // Access looks up the block, updating replacement state and statistics.
 // If write is true and the block hits, the line is marked dirty.
 // It returns whether the access hit.
 func (c *Cache) Access(b arch.BlockID, write bool) bool {
-	si, wi := c.find(b)
-	if wi < 0 {
+	l := c.find(b)
+	if l == nil {
 		c.stats.Misses++
 		return false
 	}
 	c.stats.Hits++
 	c.tick++
-	c.sets[si][wi].lastUse = c.tick
-	if write {
-		c.sets[si][wi].dirty = true
-	}
+	l.touch(c.tick, write)
 	return true
 }
 
@@ -149,17 +181,19 @@ func (c *Cache) Access(b arch.BlockID, write bool) bool {
 // refreshed in place and no eviction occurs. The dirty flag marks the newly
 // inserted line (true for write allocations).
 func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
-	si, wi := c.find(b)
 	c.tick++
-	if wi >= 0 {
-		c.sets[si][wi].lastUse = c.tick
-		c.sets[si][wi].dirty = c.sets[si][wi].dirty || dirty
+	if l := c.find(b); l != nil {
+		l.touch(c.tick, dirty)
 		return Eviction{}, false
 	}
+	if c.lines == nil {
+		c.lines = make([]line, int(c.mask+1)*c.ways)
+	}
+	set := c.set(b)
 	// Choose a victim: an invalid way if one exists, else by policy.
 	victim := -1
-	for i := range c.sets[si] {
-		if !c.sets[si][i].valid {
+	for i := range set {
+		if !set[i].valid() {
 			victim = i
 			break
 		}
@@ -169,24 +203,25 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 	if victim < 0 {
 		switch c.cfg.Policy {
 		case Random:
-			victim = c.rng.Intn(c.cfg.Ways)
+			victim = c.rng.Intn(c.ways)
 		default: // LRU
 			victim = 0
-			for i := 1; i < c.cfg.Ways; i++ {
-				if c.sets[si][i].lastUse < c.sets[si][victim].lastUse {
+			for i := 1; i < len(set); i++ {
+				if set[i].stamp < set[victim].stamp {
 					victim = i
 				}
 			}
 		}
-		l := c.sets[si][victim]
-		ev = Eviction{Block: l.block, Dirty: l.dirty}
+		l := &set[victim]
+		ev = Eviction{Block: l.block, Dirty: l.dirty()}
 		evicted = true
 		c.stats.Evictions++
-		if l.dirty {
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	c.sets[si][victim] = line{block: b, valid: true, dirty: dirty, lastUse: c.tick}
+	set[victim] = line{block: b}
+	set[victim].touch(c.tick, dirty)
 	return ev, evicted
 }
 
@@ -194,36 +229,34 @@ func (c *Cache) Insert(b arch.BlockID, dirty bool) (Eviction, bool) {
 // Unlike a natural eviction the caller decides what to do with the dirty
 // state (a flush instruction writes back; an attack helper may drop it).
 func (c *Cache) Invalidate(b arch.BlockID) (wasPresent, wasDirty bool) {
-	si, wi := c.find(b)
-	if wi < 0 {
+	l := c.find(b)
+	if l == nil {
 		return false, false
 	}
-	dirty := c.sets[si][wi].dirty
-	c.sets[si][wi] = line{}
+	dirty := l.dirty()
+	*l = line{}
 	return true, dirty
 }
 
 // FlushAll invalidates every line, invoking fn (if non-nil) for each dirty
-// line before it is dropped so the caller can write it back.
+// line before it is dropped so the caller can write it back. Dirty lines
+// are visited in set-major, way-minor order.
 func (c *Cache) FlushAll(fn func(arch.BlockID)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := c.sets[si][wi]
-			if l.valid && l.dirty && fn != nil {
-				fn(l.block)
-			}
-			c.sets[si][wi] = line{}
+	for i := range c.lines {
+		l := c.lines[i]
+		if l.valid() && l.dirty() && fn != nil {
+			fn(l.block)
 		}
+		c.lines[i] = line{}
 	}
 }
 
 // Occupancy returns the number of valid lines in the set that the given
 // block maps to — used by tests and by eviction-set construction.
 func (c *Cache) Occupancy(b arch.BlockID) int {
-	si := c.SetIndex(b)
 	n := 0
-	for _, l := range c.sets[si] {
-		if l.valid {
+	for _, l := range c.set(b) {
+		if l.valid() {
 			n++
 		}
 	}
@@ -233,10 +266,9 @@ func (c *Cache) Occupancy(b arch.BlockID) int {
 // BlocksInSet returns the valid blocks currently resident in the set that
 // the given block maps to, in way order. Diagnostic use only.
 func (c *Cache) BlocksInSet(b arch.BlockID) []arch.BlockID {
-	si := c.SetIndex(b)
 	var out []arch.BlockID
-	for _, l := range c.sets[si] {
-		if l.valid {
+	for _, l := range c.set(b) {
+		if l.valid() {
 			out = append(out, l.block)
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,4 +187,63 @@ func TestNewRejectsNonDivisibleGeometry(t *testing.T) {
 	// 24 KiB + 64 B over 3 ways truncates to a power-of-two set count
 	// (128) while silently dropping capacity; it must be rejected loudly.
 	New(Config{Name: "bad", SizeBytes: 24*1024 + 64, Ways: 3})
+}
+
+// A cache nothing was ever inserted into has no line storage; every query
+// must still answer as for an empty cache.
+func TestUnfilledCacheIsEmpty(t *testing.T) {
+	c := mk(t, 64*64, 8, LRU)
+	for _, b := range []arch.BlockID{0, 7, 1 << 20} {
+		if c.Contains(b) {
+			t.Fatalf("unfilled cache contains %d", b)
+		}
+		if n := c.Occupancy(b); n != 0 {
+			t.Fatalf("unfilled set of %d holds %d lines", b, n)
+		}
+		if got := c.BlocksInSet(b); len(got) != 0 {
+			t.Fatalf("unfilled set of %d lists %v", b, got)
+		}
+		if present, dirty := c.Invalidate(b); present || dirty {
+			t.Fatalf("invalidating %d in an unfilled cache: present=%v dirty=%v", b, present, dirty)
+		}
+		if c.Access(b, true) {
+			t.Fatalf("access to %d hit an unfilled cache", b)
+		}
+	}
+	c.FlushAll(func(b arch.BlockID) { t.Fatalf("flush of an unfilled cache wrote back %d", b) })
+	c.FlushAll(nil)
+	if s := c.Stats(); s != (Stats{Misses: 3}) {
+		t.Fatalf("stats = %+v", s)
+	}
+	// The first insert still lands and behaves normally.
+	if _, had := c.Insert(7, true); had {
+		t.Fatal("first insert evicted")
+	}
+	if !c.Contains(7) || c.Occupancy(7) != 1 {
+		t.Fatal("first insert not resident")
+	}
+}
+
+// FlushAll reports dirty lines in set-major, way-minor order: the order
+// the controller issues the write-backs in, which fixes simulated time.
+func TestFlushAllSetMajorOrder(t *testing.T) {
+	c := mk(t, 4*2*64, 2, LRU) // 4 sets, 2 ways
+	// Fill set 3, then set 0, then set 2; within a set, way order is
+	// insertion order. Block 10 (set 2) stays clean.
+	for _, b := range []arch.BlockID{3, 7, 0, 4, 2, 10} {
+		c.Insert(b, b != 10)
+	}
+	var flushed []arch.BlockID
+	c.FlushAll(func(b arch.BlockID) { flushed = append(flushed, b) })
+	want := []arch.BlockID{0, 4, 2, 3, 7}
+	if !slices.Equal(flushed, want) {
+		t.Fatalf("flush order %v, want %v", flushed, want)
+	}
+	for _, b := range want {
+		if c.Contains(b) {
+			t.Fatalf("block %d survived the flush", b)
+		}
+	}
+	// A second flush finds nothing dirty.
+	c.FlushAll(func(b arch.BlockID) { t.Fatalf("second flush wrote back %d", b) })
 }

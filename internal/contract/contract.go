@@ -285,8 +285,7 @@ type Projector struct {
 	insecure     bool
 	pageCounters bool // SC-style: one counter block per data page
 	sets         uint64
-	blocksPerRow uint64
-	banks        uint64
+	dram         dram.Mapping
 }
 
 // NewProjector builds the projector for a design point under a
@@ -308,8 +307,7 @@ func NewProjector(dp machine.DesignPoint, c Contract) Projector {
 		insecure:     dp.Insecure,
 		pageCounters: dp.Counter == machine.CounterSC || dp.Counter == "",
 		sets:         uint64(metaKB * 1024 / arch.BlockSize / ways),
-		blocksPerRow: uint64(d.RowBytes / arch.BlockSize),
-		banks:        uint64(d.Banks()),
+		dram:         d.Mapping(),
 	}
 }
 
@@ -339,9 +337,7 @@ func (p Projector) Project(ev sim.TraceEvent) Obs {
 		}
 	}
 	if p.observable.Has(CompBank) {
-		row := uint64(mb) / p.blocksPerRow
-		h := row ^ row>>5 ^ row>>10 ^ row>>17
-		o.Bank = uint16(h % p.banks)
+		o.Bank = uint16(p.dram.Bank(mb))
 	}
 	if p.observable.Has(CompPath) {
 		o.Path = uint8(ev.Path)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"metaleak/internal/arch"
+	"metaleak/internal/dram"
 	"metaleak/internal/machine"
 	"metaleak/internal/secmem"
 	"metaleak/internal/sim"
@@ -143,6 +144,27 @@ func TestProjectionMatchesMachine(t *testing.T) {
 	pm := NewProjector(moc, cm)
 	if pm.metaBlock(arch.BlockID(16)) != arch.CounterBase.Block()+2 {
 		t.Fatal("MoC counter block is not 8-counters-per-block")
+	}
+}
+
+// TestProjectedBankMatchesDRAM pins the projector's bank component to
+// the DRAM model's own mapping, on the shipped geometry and on one whose
+// row size and bank count are not powers of two.
+func TestProjectedBankMatchesDRAM(t *testing.T) {
+	odd := dram.DefaultConfig()
+	odd.Channels, odd.RowBytes = 3, 6144
+	for _, cfg := range []dram.Config{dram.DefaultConfig(), odd} {
+		dp := machine.ConfigSCT()
+		dp.DRAM = cfg
+		p := NewProjector(dp, Contract{Observable: Mask(0).With(CompBank)})
+		d := dram.New(cfg)
+		for pg := arch.PageID(0); pg < 1<<14; pg += 3 {
+			b := pg.Block(int(pg) % arch.BlocksPerPage)
+			want := d.BankOf(arch.CounterBase.Block() + arch.BlockID(pg))
+			if got := p.Project(sim.TraceEvent{Block: b}).Bank; int(got) != want {
+				t.Fatalf("%d banks: page %d projects to bank %d, DRAM maps it to %d", cfg.Banks(), pg, got, want)
+			}
+		}
 	}
 }
 

@@ -20,12 +20,12 @@ type rig struct {
 	mc  *secmem.Controller
 }
 
-func newRig(t *testing.T, seed uint64, noiseInterval int) *rig {
+func newRig(t testing.TB, seed uint64, noiseInterval int) *rig {
 	t.Helper()
 	return newRigTree(t, seed, noiseInterval, "SCT")
 }
 
-func newRigTree(t *testing.T, seed uint64, noiseInterval int, kind string) *rig {
+func newRigTree(t testing.TB, seed uint64, noiseInterval int, kind string) *rig {
 	t.Helper()
 	engCfg := crypto.Config{AESLatency: 20, HashLatency: 12}
 	h := crypto.New(engCfg)

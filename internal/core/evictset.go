@@ -26,6 +26,14 @@ type EvictionSet struct {
 // with the target metadata block's cache set and returns the resulting
 // set. Frames whose verification path passes through any node in avoid
 // are skipped, so running the set never re-loads the node being evicted.
+//
+// The counter indirection makes the search pure arithmetic: a counter
+// block's set is its block address modulo the set count, so the candidates
+// are every sets-th counter block starting at the first one in the target
+// set. Counter blocks never straddle pages and enumerate pages in address
+// order, so walking them ascending and taking each free frame's first
+// colliding block picks frames and blocks in ascending address order, one
+// block per frame.
 func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) (*EvictionSet, error) {
 	meta := a.MC.Meta()
 	if meta == nil {
@@ -33,15 +41,14 @@ func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) 
 	}
 	want := 2 * meta.Config().Ways
 	targetSet := meta.SetIndex(target)
+	sets := meta.Config().Sets()
 
 	avoidRange := make([][2]int, 0, len(avoid))
 	for _, ref := range avoid {
 		lo, hi := a.counterIndexRange(ref)
 		avoidRange = append(avoidRange, [2]int{lo, hi})
 	}
-	cbIndexOf := func(cb arch.BlockID) int { return int(cb - arch.CounterBase.Block()) }
-	avoided := func(cb arch.BlockID) bool {
-		i := cbIndexOf(cb)
+	avoided := func(i int) bool {
 		for _, r := range avoidRange {
 			if i >= r[0] && i < r[1] {
 				return true
@@ -51,26 +58,19 @@ func (a *Attacker) BuildEvictionSet(target arch.BlockID, avoid []itree.NodeRef) 
 	}
 
 	es := &EvictionSet{Target: target}
-	seenCB := make(map[arch.BlockID]bool)
+	base := arch.CounterBase.Block()
 	limit := arch.PageID(a.Sys.SecurePages())
-	for frame := arch.PageID(0); frame < limit && len(es.Blocks) < want; frame++ {
-		if a.Sys.Owner(frame) != -1 {
+	first := (targetSet - meta.SetIndex(base)) & (sets - 1)
+	for i := first; len(es.Blocks) < want; i += sets {
+		if avoided(i) {
 			continue
 		}
-		// Find a block in this frame whose counter block lands in the set.
-		var pick arch.BlockID
-		found := false
-		for i := 0; i < arch.BlocksPerPage; i++ {
-			b := frame.Block(i)
-			cb := a.MC.Counters().CounterBlock(b)
-			if seenCB[cb] || avoided(cb) || meta.SetIndex(cb) != targetSet {
-				continue
-			}
-			pick, found = b, true
-			seenCB[cb] = true
+		pick := a.MC.Counters().DataBlocksOf(base + arch.BlockID(i))[0]
+		frame := pick.Page()
+		if frame >= limit {
 			break
 		}
-		if !found {
+		if a.Sys.Owner(frame) != -1 {
 			continue
 		}
 		if err := a.ClaimFrame(frame); err != nil {

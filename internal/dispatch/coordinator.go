@@ -157,9 +157,22 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 	events := make(chan connEvent, 64)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	// Every accepted connection, adopted or not. A peer whose hello is
+	// still queued when the grid settles never joins st.workers, so
+	// shutdown does not close it; teardown must, or its reader stays
+	// blocked in ReadFrame and wg.Wait never returns.
+	var connMu sync.Mutex
+	conns := make(map[net.Conn]bool)
+	closing := false
 	defer func() {
 		close(done)
 		ln.Close()
+		connMu.Lock()
+		closing = true
+		for c := range conns { // close order is invisible: each only unblocks its own reader
+			c.Close()
+		}
+		connMu.Unlock()
 		wg.Wait()
 	}()
 
@@ -174,11 +187,24 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 			if err != nil {
 				return
 			}
+			connMu.Lock()
+			if closing {
+				connMu.Unlock()
+				conn.Close()
+				return
+			}
+			conns[conn] = true
+			connMu.Unlock()
 			wc := &workerConn{conn: conn}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer conn.Close()
+				defer func() {
+					conn.Close()
+					connMu.Lock()
+					delete(conns, conn)
+					connMu.Unlock()
+				}()
 				br := bufio.NewReader(conn)
 				for {
 					f, err := ReadFrame(br)

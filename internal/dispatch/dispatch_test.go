@@ -83,6 +83,26 @@ func mustListen(t *testing.T) net.Listener {
 	return ln
 }
 
+// runOut is the outcome of a coordinator run started by runAsync.
+type runOut struct {
+	settled map[int]Settled
+	err     error
+}
+
+// runAsync starts co.Run in a goroutine, so a test can drive a side
+// peer through its handshake before attaching the worker that settles
+// the grid. Once the grid settles, a peer whose hello is still queued
+// is never answered, so a test asserting that peer's outcome must wait
+// for it first.
+func runAsync(ctx context.Context, co *Coordinator, ln net.Listener) <-chan runOut {
+	ran := make(chan runOut, 1)
+	go func() {
+		settled, err := co.Run(ctx, ln)
+		ran <- runOut{settled, err}
+	}()
+	return ran
+}
+
 func jobSpec(t *testing.T, job testJob) json.RawMessage {
 	t.Helper()
 	spec, err := json.Marshal(job)
@@ -236,15 +256,7 @@ func TestDispatchLeaseTimeout(t *testing.T) {
 		LeaseTimeout: 200 * time.Millisecond,
 		MaxLeases:    2,
 	})
-	type runOut struct {
-		settled map[int]Settled
-		err     error
-	}
-	ran := make(chan runOut, 1)
-	go func() {
-		settled, err := co.Run(ctx, ln)
-		ran <- runOut{settled, err}
-	}()
+	ran := runAsync(ctx, co, ln)
 	// Raw silent peer: handshake, lease one cell, then nothing.
 	leased := make(chan int, 1)
 	go func() {
@@ -291,6 +303,7 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 	defer cancel()
 	ln := mustListen(t)
 	co := NewCoordinator(jobSpec(t, testJob{Mult: 1}), grid(2), Options{})
+	ran := runAsync(ctx, co, ln)
 	refused := make(chan string, 1)
 	go func() {
 		conn, err := Dial(ln.Addr().String())
@@ -306,12 +319,6 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 			refused <- fmt.Sprintf("unexpected: %+v, %v", f, err)
 		}
 	}()
-	wg := startWorker(t, ctx, ln.Addr().String(), "current", testSession(testJob{Mult: 1}, nil, nil))
-	settled, err := co.Run(ctx, ln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPayloads(t, settled, 2, 1)
 	select {
 	case reason := <-refused:
 		if reason == "" || reason[0] == 'u' {
@@ -320,6 +327,12 @@ func TestDispatchProtoVersionMismatch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("mismatched worker never refused")
 	}
+	wg := startWorker(t, ctx, ln.Addr().String(), "current", testSession(testJob{Mult: 1}, nil, nil))
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkPayloads(t, out.settled, 2, 1)
 	cancel()
 	wg.Wait()
 }

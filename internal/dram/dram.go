@@ -15,6 +15,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"metaleak/internal/arch"
 )
 
@@ -65,6 +67,57 @@ func DefaultConfig() Config {
 // Banks returns the total number of banks.
 func (c Config) Banks() int { return c.Channels * c.RanksPerChan * c.BanksPerRank }
 
+// Mapping is a geometry's block-to-row and block-to-bank address mapping.
+// Row-granular interleaving with an XOR-based bank hash (standard in
+// modern memory controllers) spreads nearby metadata regions across banks,
+// while the 64 blocks of a page still share a bank and (typically) a row —
+// which is what makes re-encryption bursts serialize behind one bank.
+//
+// The row divide and the bank modulo are precomputed as a shift and a mask
+// when blocks-per-row and the bank count are powers of two (every shipped
+// configuration); any other geometry keeps the exact divide. Both the DRAM
+// model and the leakage-contract projector map addresses through it.
+type Mapping struct {
+	blocksPerRow uint64
+	banks        uint64
+	rowShift     uint   // log2(blocksPerRow) when rowPow2
+	bankMask     uint64 // banks-1 when bankPow2
+	rowPow2      bool
+	bankPow2     bool
+}
+
+// Mapping precomputes the configuration's address mapping.
+func (c Config) Mapping() Mapping {
+	m := Mapping{blocksPerRow: uint64(c.RowBytes / arch.BlockSize), banks: uint64(c.Banks())}
+	if n := m.blocksPerRow; n > 0 && n&(n-1) == 0 {
+		m.rowShift, m.rowPow2 = uint(bits.TrailingZeros64(n)), true
+	}
+	if n := m.banks; n > 0 && n&(n-1) == 0 {
+		m.bankMask, m.bankPow2 = n-1, true
+	}
+	return m
+}
+
+// Row returns the global row index a block maps to.
+func (m Mapping) Row(b arch.BlockID) uint64 {
+	if m.rowPow2 {
+		return uint64(b) >> m.rowShift
+	}
+	return uint64(b) / m.blocksPerRow
+}
+
+// Bank returns the bank index a block maps to.
+func (m Mapping) Bank(b arch.BlockID) int { return m.bankOfRow(m.Row(b)) }
+
+// bankOfRow hashes a global row index onto a bank.
+func (m Mapping) bankOfRow(row uint64) int {
+	h := row ^ row>>5 ^ row>>10 ^ row>>17
+	if m.bankPow2 {
+		return int(h & m.bankMask)
+	}
+	return int(h % m.banks)
+}
+
 type bank struct {
 	openRow   int64 // -1: precharged
 	busyUntil arch.Cycles
@@ -88,6 +141,7 @@ type Stats struct {
 // DRAM is the main memory model. Not safe for concurrent use.
 type DRAM struct {
 	cfg   Config
+	m     Mapping
 	banks []bank
 	wq    []writeReq
 	// wqSet indexes the blocks currently in wq so the merge check in Write
@@ -102,6 +156,7 @@ type DRAM struct {
 func New(cfg Config) *DRAM {
 	d := &DRAM{
 		cfg:   cfg,
+		m:     cfg.Mapping(),
 		banks: make([]bank, cfg.Banks()),
 		wqSet: make(map[arch.BlockID]struct{}, cfg.WriteQueueDepth),
 	}
@@ -120,24 +175,12 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Stats returns a snapshot of the event counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 
-func (d *DRAM) blocksPerRow() uint64 { return uint64(d.cfg.RowBytes / arch.BlockSize) }
-
-// BankOf returns the bank index a block maps to. Row-granular
-// interleaving with an XOR-based bank hash (standard in modern memory
-// controllers) spreads nearby metadata regions across banks, while the 64
-// blocks of a page still share a bank and (typically) a row — which is
-// what makes re-encryption bursts serialize behind one bank.
-func (d *DRAM) BankOf(b arch.BlockID) int {
-	row := uint64(b) / d.blocksPerRow()
-	h := row ^ row>>5 ^ row>>10 ^ row>>17
-	return int(h % uint64(d.cfg.Banks()))
-}
+// BankOf returns the bank index a block maps to (see Mapping).
+func (d *DRAM) BankOf(b arch.BlockID) int { return d.m.Bank(b) }
 
 // RowOf returns the identity of the row a block maps to (used only for
 // open-row comparisons, so the global row index serves).
-func (d *DRAM) RowOf(b arch.BlockID) int64 {
-	return int64(uint64(b) / d.blocksPerRow())
-}
+func (d *DRAM) RowOf(b arch.BlockID) int64 { return int64(d.m.Row(b)) }
 
 // SameRow reports whether two blocks share a physical DRAM row (same
 // bank, same row): the blast radius of a row-level fault — a disturbed
@@ -149,15 +192,15 @@ func (d *DRAM) SameRow(a, b arch.BlockID) bool {
 // access performs one bank access starting no earlier than now and returns
 // its completion time.
 func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) arch.Cycles {
-	bk := &d.banks[d.BankOf(b)]
-	row := d.RowOf(b)
+	row := d.m.Row(b)
+	bk := &d.banks[d.m.bankOfRow(row)]
 	start := now
 	if bk.busyUntil > start {
 		start = bk.busyUntil
 	}
 	var lat arch.Cycles
 	switch {
-	case bk.openRow == row:
+	case bk.openRow == int64(row):
 		lat = d.cfg.RowHit
 		d.stats.RowHits++
 	case bk.openRow == -1:
@@ -170,7 +213,7 @@ func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) ar
 	if occupancy > lat {
 		lat = occupancy
 	}
-	bk.openRow = row
+	bk.openRow = int64(row)
 	bk.busyUntil = start + lat
 	return start + lat + d.cfg.Bus
 }

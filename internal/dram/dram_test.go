@@ -214,3 +214,58 @@ func TestDrainServicesOldestFirst(t *testing.T) {
 		t.Fatal("oldest write not serviced by forced drain")
 	}
 }
+
+// TestMappingMatchesDivideFormula checks the precomputed shift/mask
+// mapping against the general divide/modulo formula, on the shipped
+// power-of-two geometry and on geometries where one or both of
+// blocks-per-row and the bank count are not powers of two (which must
+// keep the exact divide).
+func TestMappingMatchesDivideFormula(t *testing.T) {
+	geom := func(channels, rowBytes int) Config {
+		c := DefaultConfig()
+		c.Channels, c.RowBytes = channels, rowBytes
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"3ch-6KiB-rows", geom(3, 6144)},
+		{"3ch-8KiB-rows", geom(3, 8192)},
+		{"2ch-6KiB-rows", geom(2, 6144)},
+		{"1ch-2KiB-rows", geom(1, 2048)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.cfg.Mapping()
+			d := New(tc.cfg)
+			perRow := uint64(tc.cfg.RowBytes / arch.BlockSize)
+			banks := uint64(tc.cfg.Banks())
+			check := func(b arch.BlockID) {
+				row := uint64(b) / perRow
+				h := row ^ row>>5 ^ row>>10 ^ row>>17
+				wantBank := int(h % banks)
+				if got := m.Row(b); got != row {
+					t.Fatalf("Row(%#x) = %d, want %d", uint64(b), got, row)
+				}
+				if got := m.Bank(b); got != wantBank {
+					t.Fatalf("Bank(%#x) = %d, want %d", uint64(b), got, wantBank)
+				}
+				if d.BankOf(b) != wantBank || d.RowOf(b) != int64(row) {
+					t.Fatalf("DRAM(%#x) = bank %d row %d, want %d %d",
+						uint64(b), d.BankOf(b), d.RowOf(b), wantBank, row)
+				}
+			}
+			for b := arch.BlockID(0); b < 1<<16; b += 7 {
+				check(b)
+			}
+			rng := arch.NewRNG(42)
+			for i := 0; i < 4096; i++ {
+				check(arch.BlockID(rng.Uint64() >> 20))
+			}
+			for _, region := range []arch.Addr{arch.CounterBase, arch.TreeBase} {
+				check(region.Block())
+			}
+		})
+	}
+}

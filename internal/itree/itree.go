@@ -41,7 +41,10 @@ type Update struct {
 	OverflowRef NodeRef
 	// Rehashed lists the metadata blocks (node blocks and counter blocks)
 	// whose hashes had to be recomputed because of the overflow — the cost
-	// driver of §V's write-latency bands.
+	// driver of §V's write-latency bands. The tree reuses one backing
+	// array for every overflow, so the slice is valid only until the next
+	// Writeback* call on the same tree: callers consume it at once and
+	// must copy it to keep it.
 	Rehashed []arch.BlockID
 }
 

@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -391,5 +392,84 @@ func TestPartitionedInterfaceThroughControllerPath(t *testing.T) {
 	ref2 := p.LeafRef(cb(512 + 40))
 	if p.NodeBlockID(ref2) == p.NodeBlockID(ref) {
 		t.Fatal("cross-domain node collision")
+	}
+}
+
+// overflowLeaf writes c back until its leaf minor overflows (at most
+// max+1 writebacks) and returns that overflow's update.
+func overflowLeaf(t *testing.T, tr Tree, max uint64, c arch.BlockID) *Update {
+	t.Helper()
+	var contents [arch.BlockSize]byte
+	for i := uint64(0); i <= max; i++ {
+		if up := tr.WritebackCounterBlock(c, contents); up != nil && up.Overflow {
+			return up
+		}
+	}
+	t.Fatalf("no overflow after %d writebacks", max+1)
+	return nil
+}
+
+// leafRehash is the re-hash list of a leaf overflow: the leaf node block,
+// then each counter block under it in address order.
+func leafRehash(tr Tree, leaf NodeRef) []arch.BlockID {
+	out := []arch.BlockID{tr.NodeBlockID(leaf)}
+	a := tr.Arity(0)
+	for i := 0; i < a; i++ {
+		out = append(out, cb(leaf.Index*a+i))
+	}
+	return out
+}
+
+// Every overflow's Rehashed list is correct when returned, and successive
+// overflows reuse one backing array: the list is valid only until the
+// next Writeback* call on the tree.
+func TestRehashedReusedAcrossOverflows(t *testing.T) {
+	tr := newSCT(32 * 16 * 16)
+	first := overflowLeaf(t, tr, tr.MinorMax(), cb(0))
+	if want := leafRehash(tr, NodeRef{0, 0}); !slices.Equal(first.Rehashed, want) {
+		t.Fatalf("first overflow re-hashed %v, want %v", first.Rehashed, want)
+	}
+	second := overflowLeaf(t, tr, tr.MinorMax(), cb(40))
+	if want := leafRehash(tr, NodeRef{0, 1}); !slices.Equal(second.Rehashed, want) {
+		t.Fatalf("second overflow re-hashed %v, want %v", second.Rehashed, want)
+	}
+	if &first.Rehashed[0] != &second.Rehashed[0] {
+		t.Fatal("second overflow grew a fresh Rehashed list")
+	}
+	// A node overflow re-hashes a whole L1 subtree: the L1 node, then each
+	// leaf followed by its counter blocks, every counter block once.
+	var up *Update
+	for i := uint64(0); i <= tr.MinorMax() && up == nil; i++ {
+		up = tr.WritebackNode(NodeRef{0, 3})
+	}
+	if up == nil || up.OverflowRef != (NodeRef{1, 0}) {
+		t.Fatalf("node overflow = %+v, want one at L1[0]", up)
+	}
+	want := []arch.BlockID{tr.NodeBlockID(NodeRef{1, 0})}
+	for leaf := 0; leaf < 16; leaf++ {
+		want = append(want, leafRehash(tr, NodeRef{0, leaf})...)
+	}
+	if !slices.Equal(up.Rehashed, want) {
+		t.Fatalf("L1 overflow re-hashed %d blocks, want %d", len(up.Rehashed), len(want))
+	}
+}
+
+// A steady-state leaf overflow allocates only its Update header: the
+// Rehashed list refills the tree's backing array in place.
+func TestLeafOverflowSteadyStateAllocs(t *testing.T) {
+	const max = 1<<7 - 1 // both trees use 7-bit minors
+	for _, tc := range []struct {
+		name string
+		tr   Tree
+	}{
+		{"SCT", newSCT(32 * 16 * 16)},
+		{"Partitioned", newForest(2*32*16, 2)},
+	} {
+		c := cb(32*16 + 5) // domain 1 of the forest
+		overflowLeaf(t, tc.tr, max, c)
+		avg := testing.AllocsPerRun(20, func() { overflowLeaf(t, tc.tr, max, c) })
+		if avg > 1 {
+			t.Errorf("%s: steady-state leaf overflow allocates %.1f objects; want <= 1", tc.name, avg)
+		}
 	}
 }

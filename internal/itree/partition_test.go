@@ -1,6 +1,7 @@
 package itree
 
 import (
+	"slices"
 	"testing"
 
 	"metaleak/internal/arch"
@@ -126,4 +127,31 @@ func TestPartitionedBadConfigPanics(t *testing.T) {
 		}
 	}()
 	newForest(1000, 3)
+}
+
+// The forest forwards each domain tree's Rehashed list unchanged (block
+// IDs are already global), including the shared-backing-array lifetime.
+func TestPartitionedForwardsRehashed(t *testing.T) {
+	p := newForest(2*32*16, 2)
+	max := p.domains[0].MinorMax()
+	// Leaf 0 of domain 1 covers global counter blocks 512..543.
+	leaf1 := p.LeafRef(cb(512))
+	up := overflowLeaf(t, p, max, cb(512))
+	if up.OverflowRef != leaf1 {
+		t.Fatalf("overflow at %v, want %v", up.OverflowRef, leaf1)
+	}
+	want := []arch.BlockID{p.NodeBlockID(leaf1)}
+	for i := 512; i < 544; i++ {
+		want = append(want, cb(i))
+	}
+	if !slices.Equal(up.Rehashed, want) {
+		t.Fatalf("domain 1 overflow re-hashed %v, want %v", up.Rehashed, want)
+	}
+	again := overflowLeaf(t, p, max, cb(512))
+	if !slices.Equal(again.Rehashed, want) || &again.Rehashed[0] != &up.Rehashed[0] {
+		t.Fatal("repeat overflow did not refill the domain's Rehashed list in place")
+	}
+	if got := overflowLeaf(t, p, max, cb(1)).Rehashed; !slices.Equal(got, leafRehash(p, NodeRef{0, 0})) {
+		t.Fatalf("domain 0 overflow re-hashed %v", got)
+	}
 }

@@ -50,6 +50,10 @@ type VTree struct {
 	// rest of the simulator, so one reusable buffer each suffices.
 	hashBuf []byte
 	cbBuf   [8 + arch.BlockSize]byte
+	// rehashed backs every overflow's Update.Rehashed: a subtree reset
+	// refills it from the start instead of growing a fresh list, so the
+	// returned slice is valid only until the next Writeback* call.
+	rehashed []arch.BlockID
 }
 
 // NewVTree builds a version-counter tree.
@@ -211,9 +215,17 @@ func (t *VTree) bumpMinor(ref NodeRef) *Update {
 	// Tree minor overflow (§IV-C): the node's major is incremented, its
 	// minors reset, and the whole subtree under it re-hashed.
 	p, _ := t.geo.parent(ref)
-	up := &Update{Overflow: true, OverflowRef: p}
-	t.resetSubtree(p, up)
+	up := t.overflow(p)
 	parent.minors[slot] = 1 // the triggering child's fresh version
+	return up
+}
+
+// overflow resets the subtree under ref and reports it, listing the
+// re-hashed blocks in the tree's shared rehashed buffer.
+func (t *VTree) overflow(ref NodeRef) *Update {
+	up := &Update{Overflow: true, OverflowRef: ref, Rehashed: t.rehashed[:0]}
+	t.resetSubtree(ref, up)
+	t.rehashed = up.Rehashed
 	return up
 }
 
@@ -273,8 +285,7 @@ func (t *VTree) WritebackCounterBlock(cb arch.BlockID, contents [arch.BlockSize]
 	if n.minors[slot] < t.MinorMax() {
 		n.minors[slot]++
 	} else {
-		up = &Update{Overflow: true, OverflowRef: leaf}
-		t.resetSubtree(leaf, up)
+		up = t.overflow(leaf)
 		n.minors[slot] = 1
 	}
 	t.ctrHash[cb] = t.hashCounterBlock(cb, contents)
