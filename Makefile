@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet metalint lint-inventory secretflow-test test dispatch-race fuzz-smoke hunt-smoke bench bench-layers bench-json bench-gate
+.PHONY: check build vet metalint lint-inventory secretflow-test test dispatch-race soak fuzz-smoke hunt-smoke bench bench-layers bench-json bench-gate
 
 check: vet metalint lint-inventory secretflow-test test dispatch-race
 
@@ -42,6 +42,15 @@ dispatch-race:
 	$(GO) test -race -count=1 -run 'Dispatch|Serve|Supervis|DialRetry|ResultCache|CellFingerprint|Hunt|JobSession' \
 		./internal/dispatch ./internal/experiments ./internal/serve ./cmd/metaleak
 
+# The dispatcher, service and supervision tests, repeated SOAK_COUNT times
+# under the race detector to shake out interleavings a single run misses.
+# Too slow for check; run it by hand after touching those packages.
+SOAK_COUNT ?= 20
+
+soak:
+	$(GO) test -race -count=$(SOAK_COUNT) -run 'Dispatch|Serve|Supervis' \
+		./internal/dispatch ./internal/serve ./internal/experiments
+
 # Ten seconds of coverage-guided fuzzing per parser-shaped surface:
 # cheap enough for CI, long enough to catch a decoder regression.
 fuzz-smoke:
@@ -70,12 +79,12 @@ bench:
 
 # Per-layer host-time benchmarks for the set-up paths the profile names:
 # machine construction, eviction-set search, integrity-tree subtree reset,
-# and DRAM background bursts. CI runs them once each (BENCHTIME=1x) so
+# and DRAM background bursts, per block and per run. CI runs them once each (BENCHTIME=1x) so
 # they keep compiling and running.
 BENCHTIME ?= 1s
 
 bench-layers:
-	$(GO) test -run='^$$' -bench='^Benchmark(NewSystem|BuildEvictionSet|SubtreeReset|DRAMBackground)$$' \
+	$(GO) test -run='^$$' -bench='^Benchmark(NewSystem|BuildEvictionSet|SubtreeReset|DRAMBackground|DRAMBackgroundRun)$$' \
 		-benchmem -benchtime=$(BENCHTIME) ./internal/machine ./internal/core ./internal/itree ./internal/dram
 
 # Substrate microbenchmarks + fixed-grid sweep throughput as a

@@ -106,6 +106,14 @@ func (m Mapping) Row(b arch.BlockID) uint64 {
 	return uint64(b) / m.blocksPerRow
 }
 
+// rowLeft returns how many blocks from b to the end of b's row, b included.
+func (m Mapping) rowLeft(b arch.BlockID) uint64 {
+	if m.rowPow2 {
+		return m.blocksPerRow - uint64(b)&(m.blocksPerRow-1)
+	}
+	return m.blocksPerRow - uint64(b)%m.blocksPerRow
+}
+
 // Bank returns the bank index a block maps to.
 func (m Mapping) Bank(b arch.BlockID) int { return m.bankOfRow(m.Row(b)) }
 
@@ -192,7 +200,12 @@ func (d *DRAM) SameRow(a, b arch.BlockID) bool {
 // access performs one bank access starting no earlier than now and returns
 // its completion time.
 func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) arch.Cycles {
-	row := d.m.Row(b)
+	return d.open(now, d.m.Row(b), occupancy).busyUntil + d.cfg.Bus
+}
+
+// open performs one access to a row, starting no earlier than now, and
+// returns its bank, busy until the access completes.
+func (d *DRAM) open(now arch.Cycles, row uint64, occupancy arch.Cycles) *bank {
 	bk := &d.banks[d.m.bankOfRow(row)]
 	start := now
 	if bk.busyUntil > start {
@@ -215,7 +228,7 @@ func (d *DRAM) access(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) ar
 	}
 	bk.openRow = int64(row)
 	bk.busyUntil = start + lat
-	return start + lat + d.cfg.Bus
+	return bk
 }
 
 // Read services a read for the block, returning its completion time. Reads
@@ -310,4 +323,22 @@ func (d *DRAM) maybeRefresh(now arch.Cycles) arch.Cycles {
 func (d *DRAM) Background(now arch.Cycles, b arch.BlockID, occupancy arch.Cycles) {
 	//metalint:allow cycleleak fire-and-forget by design: the burst's completion time is invisible to the issuer, only bank occupancy matters
 	d.access(now, b, occupancy)
+}
+
+// BackgroundRun posts n consecutive blocks from first as a background
+// burst, with exactly the effect of n Background calls in block order. It
+// works one row segment at a time: the segment's first block is an
+// ordinary access, which leaves the row open and the bank busy past now,
+// so each of the other blocks is a row hit that starts when the bank frees
+// up and extends its busy horizon by max(occupancy, RowHit).
+func (d *DRAM) BackgroundRun(now arch.Cycles, first arch.BlockID, n int, occupancy arch.Cycles) {
+	hit := max(occupancy, d.cfg.RowHit)
+	for n > 0 {
+		k := int(min(uint64(n), d.m.rowLeft(first)))
+		bk := d.open(now, d.m.Row(first), occupancy)
+		bk.busyUntil += arch.Cycles(k-1) * hit
+		d.stats.RowHits += uint64(k - 1)
+		first += arch.BlockID(k)
+		n -= k
+	}
 }

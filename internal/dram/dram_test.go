@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,55 @@ func TestMappingMatchesDivideFormula(t *testing.T) {
 			}
 			for _, region := range []arch.Addr{arch.CounterBase, arch.TreeBase} {
 				check(region.Block())
+			}
+		})
+	}
+}
+
+// BackgroundRun is exactly n Background calls in block order: seeded
+// random runs, many crossing row boundaries, with occupancies below and
+// above RowConflict, leave the same Stats, the same busy horizon on every
+// bank and the same open rows (seen through a foreground Read's completion)
+// as posting the blocks one at a time. Covers the power-of-two default
+// geometry and a divide-mapped one.
+func TestBackgroundRunMatchesPerBlock(t *testing.T) {
+	odd := DefaultConfig()
+	odd.Channels, odd.RowBytes = 3, 6144
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"3ch-6KiB-rows", odd}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, one := New(tc.cfg), New(tc.cfg)
+			perRow := tc.cfg.RowBytes / arch.BlockSize
+			occupancies := []arch.Cycles{0, 10, tc.cfg.RowHit, 80, tc.cfg.RowConflict, 150, 400}
+			rng := rand.New(rand.NewSource(7))
+			now := arch.Cycles(0)
+			for step := 0; step < 3000; step++ {
+				now += arch.Cycles(rng.Intn(300))
+				// 64 rows' worth of blocks: rows repeat, so hits, misses
+				// and conflicts all occur.
+				first := arch.BlockID(rng.Intn(64 * perRow))
+				n := rng.Intn(3 * perRow)
+				occ := occupancies[rng.Intn(len(occupancies))]
+				run.BackgroundRun(now, first, n, occ)
+				for i := 0; i < n; i++ {
+					one.Background(now, first+arch.BlockID(i), occ)
+				}
+				if run.Stats() != one.Stats() {
+					t.Fatalf("step %d: stats %+v, per-block %+v", step, run.Stats(), one.Stats())
+				}
+				for bk := 0; bk < tc.cfg.Banks(); bk++ {
+					if got, want := run.BankBusyUntil(bk), one.BankBusyUntil(bk); got != want {
+						t.Fatalf("step %d: bank %d busy until %d, per-block %d", step, bk, got, want)
+					}
+				}
+				if rng.Intn(4) == 0 {
+					b := arch.BlockID(rng.Intn(64 * perRow))
+					if got, want := run.Read(now, b), one.Read(now, b); got != want {
+						t.Fatalf("step %d: read of %d done at %d, per-block %d", step, b, got, want)
+					}
+				}
 			}
 		})
 	}

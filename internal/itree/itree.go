@@ -41,11 +41,21 @@ type Update struct {
 	OverflowRef NodeRef
 	// Rehashed lists the metadata blocks (node blocks and counter blocks)
 	// whose hashes had to be recomputed because of the overflow — the cost
-	// driver of §V's write-latency bands. The tree reuses one backing
-	// array for every overflow, so the slice is valid only until the next
-	// Writeback* call on the same tree: callers consume it at once and
-	// must copy it to keep it.
-	Rehashed []arch.BlockID
+	// driver of §V's write-latency bands — as runs of consecutive blocks.
+	// Expanded run by run, the blocks come in the order the hardware
+	// re-hashes them: depth-first, each node block before its children and
+	// a leaf's counter blocks right after the leaf. Adjacent runs are
+	// merged, so the run boundaries carry no meaning. The tree reuses one
+	// backing array for every overflow, so the slice is valid only until
+	// the next Writeback* call on the same tree: callers consume it at
+	// once and must copy it to keep it.
+	Rehashed []BlockRun
+}
+
+// BlockRun is N consecutive metadata blocks starting at First.
+type BlockRun struct {
+	First arch.BlockID
+	N     int
 }
 
 // Tree is the interface the secure memory controller programs against.

@@ -420,18 +420,29 @@ func leafRehash(tr Tree, leaf NodeRef) []arch.BlockID {
 	return out
 }
 
+// expand lists the blocks of a Rehashed run list one by one, in order.
+func expand(runs []BlockRun) []arch.BlockID {
+	var out []arch.BlockID
+	for _, r := range runs {
+		for i := 0; i < r.N; i++ {
+			out = append(out, r.First+arch.BlockID(i))
+		}
+	}
+	return out
+}
+
 // Every overflow's Rehashed list is correct when returned, and successive
 // overflows reuse one backing array: the list is valid only until the
 // next Writeback* call on the tree.
 func TestRehashedReusedAcrossOverflows(t *testing.T) {
 	tr := newSCT(32 * 16 * 16)
 	first := overflowLeaf(t, tr, tr.MinorMax(), cb(0))
-	if want := leafRehash(tr, NodeRef{0, 0}); !slices.Equal(first.Rehashed, want) {
-		t.Fatalf("first overflow re-hashed %v, want %v", first.Rehashed, want)
+	if want := leafRehash(tr, NodeRef{0, 0}); !slices.Equal(expand(first.Rehashed), want) {
+		t.Fatalf("first overflow re-hashed %v, want %v", expand(first.Rehashed), want)
 	}
 	second := overflowLeaf(t, tr, tr.MinorMax(), cb(40))
-	if want := leafRehash(tr, NodeRef{0, 1}); !slices.Equal(second.Rehashed, want) {
-		t.Fatalf("second overflow re-hashed %v, want %v", second.Rehashed, want)
+	if want := leafRehash(tr, NodeRef{0, 1}); !slices.Equal(expand(second.Rehashed), want) {
+		t.Fatalf("second overflow re-hashed %v, want %v", expand(second.Rehashed), want)
 	}
 	if &first.Rehashed[0] != &second.Rehashed[0] {
 		t.Fatal("second overflow grew a fresh Rehashed list")
@@ -449,8 +460,8 @@ func TestRehashedReusedAcrossOverflows(t *testing.T) {
 	for leaf := 0; leaf < 16; leaf++ {
 		want = append(want, leafRehash(tr, NodeRef{0, leaf})...)
 	}
-	if !slices.Equal(up.Rehashed, want) {
-		t.Fatalf("L1 overflow re-hashed %d blocks, want %d", len(up.Rehashed), len(want))
+	if got := expand(up.Rehashed); !slices.Equal(got, want) {
+		t.Fatalf("L1 overflow re-hashed %d blocks, want %d", len(got), len(want))
 	}
 }
 
@@ -471,5 +482,59 @@ func TestLeafOverflowSteadyStateAllocs(t *testing.T) {
 		if avg > 1 {
 			t.Errorf("%s: steady-state leaf overflow allocates %.1f objects; want <= 1", tc.name, avg)
 		}
+	}
+}
+
+// nodeCount returns how many nodes a tree has stored.
+func nodeCount(tr *VTree) int {
+	n := 0
+	for _, level := range tr.nodes {
+		n += len(level)
+	}
+	return n
+}
+
+// A level-4 overflow on the Table I tree (fig15c's MetaLeak-C target)
+// costs its depth, not its 2.17 M-block subtree: it stores no node beyond
+// the ones the writebacks touch, lists one run per node block above the leaves and
+// at most two per leaf, and allocates only its Update header once warm.
+func TestLevel4OverflowCost(t *testing.T) {
+	tr := NewVTree(VTreeConfig{
+		Name: "SCT", Arities: []int{32, 16, 16, 16, 16, 16}, MinorBits: 7, CounterBlocks: 1 << 24,
+	}, hasher())
+	child, l4 := NodeRef{Level: 3, Index: 0}, NodeRef{Level: 4, Index: 0}
+	overflowL4 := func() *Update {
+		for i := uint64(0); i <= tr.MinorMax(); i++ {
+			if up := tr.WritebackNode(child); up != nil {
+				return up
+			}
+		}
+		t.Fatal("no overflow")
+		return nil
+	}
+	up := overflowL4()
+	if up.OverflowRef != l4 {
+		t.Fatalf("overflow at %v, want %v", up.OverflowRef, l4)
+	}
+	// Only the written-back L3[0] and its parent L4[0].
+	if got := nodeCount(tr); got != 2 {
+		t.Fatalf("overflow left %d stored nodes, want only the 2 the writebacks touch", got)
+	}
+	const leaves = 16 * 16 * 16 * 16
+	if max := 2*leaves + 4096 + 256 + 16 + 1; len(up.Rehashed) > max {
+		t.Fatalf("overflow listed %d runs, want <= %d", len(up.Rehashed), max)
+	}
+	blocks := 0
+	for _, r := range up.Rehashed {
+		blocks += r.N
+	}
+	if want := 1 + 16 + 256 + 4096 + leaves*(1+32); blocks != want {
+		t.Fatalf("overflow re-hashed %d blocks, want %d", blocks, want)
+	}
+	if avg := testing.AllocsPerRun(3, func() { overflowL4() }); avg > 1 {
+		t.Errorf("steady-state level-4 overflow allocates %.1f objects; want <= 1", avg)
+	}
+	if got := nodeCount(tr); got != 2 {
+		t.Fatalf("repeat overflows grew the tree to %d stored nodes", got)
 	}
 }

@@ -184,7 +184,7 @@ func (p *Partitioned) globalizeUpdate(d int, up *Update) *Update {
 		return nil
 	}
 	up.OverflowRef = p.globalize(d, up.OverflowRef)
-	// Rehashed holds block IDs, which are already globally unique.
+	// Rehashed holds block runs, whose IDs are already globally unique.
 	return up
 }
 

@@ -26,11 +26,25 @@ type VTreeConfig struct {
 // vnode is the authoritative state of one tree node block: a shared major
 // counter, one version ("minor") counter per child, and the embedded hash
 // that binds them to the parent's version counter for this node.
+//
+// Subtree resets are applied lazily (see overflow): resets counts the
+// resets rooted at this node, and major, minors and hash are as of the
+// tree's resetSeq value seq, caught up by node() when they differ.
 type vnode struct {
 	major   uint64
+	resets  uint64
+	seq     uint64
 	minors  []uint64
 	hash    uint64
 	hashSet bool
+}
+
+// ctrEntry is one counter block's embedded hash, tagged with its leaf's
+// major at the time it was established. A subtree reset bumps the leaf's
+// major, which retires every entry under it without touching the map.
+type ctrEntry struct {
+	hash  uint64
+	major uint64
 }
 
 // VTree is a version-counter integrity tree. It implements Tree.
@@ -40,8 +54,12 @@ type VTree struct {
 	h     Hasher
 	nodes []map[int]*vnode // per level, sparse
 	// ctrHash holds the per-counter-block hash binding counter contents to
-	// the L0 version counter (the embedded per-block hash of Fig. 4b).
-	ctrHash map[arch.BlockID]uint64
+	// the L0 version counter (the embedded per-block hash of Fig. 4b). An
+	// entry whose major differs from its leaf's counts as absent.
+	ctrHash map[arch.BlockID]ctrEntry
+	// resetSeq counts subtree resets; a node whose seq differs may sit
+	// under a reset it has not caught up with yet.
+	resetSeq uint64
 	// root holds the on-chip version counters for the top stored level.
 	root map[int]uint64
 	// hashBuf and cbBuf are scratch buffers for hashNode/hashCounterBlock.
@@ -53,7 +71,7 @@ type VTree struct {
 	// rehashed backs every overflow's Update.Rehashed: a subtree reset
 	// refills it from the start instead of growing a fresh list, so the
 	// returned slice is valid only until the next Writeback* call.
-	rehashed []arch.BlockID
+	rehashed []BlockRun
 }
 
 // NewVTree builds a version-counter tree.
@@ -68,7 +86,7 @@ func NewVTree(cfg VTreeConfig, h Hasher) *VTree {
 		cfg:     cfg,
 		geo:     geo,
 		h:       h,
-		ctrHash: make(map[arch.BlockID]uint64),
+		ctrHash: make(map[arch.BlockID]ctrEntry),
 		root:    make(map[int]uint64),
 	}
 	t.nodes = make([]map[int]*vnode, len(cfg.Arities))
@@ -111,13 +129,50 @@ func (t *VTree) CoverageCounterBlocks(level int) int { return t.geo.coverage(lev
 // MinorMax returns the saturation value of a tree minor counter.
 func (t *VTree) MinorMax() uint64 { return 1<<t.cfg.MinorBits - 1 }
 
+// node returns ref's state, creating it on first use and catching it up
+// with every subtree reset above it.
 func (t *VTree) node(ref NodeRef) *vnode {
+	if n := t.lookup(ref); n != nil {
+		return n
+	}
+	n := &vnode{seq: t.resetSeq, minors: make([]uint64, t.cfg.Arities[ref.Level])}
+	if t.resetSeq != 0 {
+		n.major = t.ancestorResets(ref)
+	}
+	t.nodes[ref.Level][ref.Index] = n
+	return n
+}
+
+// lookup is node without creation: nil when ref was never stored, which
+// reads as all-zero minors whatever resets lie above it.
+func (t *VTree) lookup(ref NodeRef) *vnode {
 	n := t.nodes[ref.Level][ref.Index]
-	if n == nil {
-		n = &vnode{minors: make([]uint64, t.cfg.Arities[ref.Level])}
-		t.nodes[ref.Level][ref.Index] = n
+	if n == nil || n.seq == t.resetSeq {
+		return n
+	}
+	// A reset happened somewhere since n last synced. n's effective major
+	// is the reset count over n and its ancestors; it only grows, so a
+	// change means a reset covered n, which zeroes its minors and voids its
+	// hash exactly as the eager reset would have.
+	n.seq = t.resetSeq
+	if major := n.resets + t.ancestorResets(ref); major != n.major {
+		n.major = major
+		clear(n.minors)
+		n.hashSet = false
 	}
 	return n
+}
+
+// ancestorResets sums the subtree resets rooted at ref's stored ancestors
+// (a never-created ancestor has none).
+func (t *VTree) ancestorResets(ref NodeRef) uint64 {
+	var sum uint64
+	for p, ok := t.geo.parent(ref); ok; p, ok = t.geo.parent(p) {
+		if a := t.nodes[p.Level][p.Index]; a != nil {
+			sum += a.resets
+		}
+	}
+	return sum
 }
 
 // childSlot returns the minor-counter slot inside ref's parent (or the
@@ -144,7 +199,10 @@ func (t *VTree) parentMinor(ref NodeRef) uint64 {
 // MinorValue exposes the version counter a node holds for its child slot —
 // the state MetaLeak-C presets and overflows. Attack and test use.
 func (t *VTree) MinorValue(ref NodeRef, slot int) uint64 {
-	return t.node(ref).minors[slot]
+	if n := t.lookup(ref); n != nil {
+		return n.minors[slot]
+	}
+	return 0
 }
 
 // hashNode computes the embedded hash of a node: H(parent minor ‖ major ‖
@@ -164,28 +222,28 @@ func (t *VTree) hashNode(ref NodeRef, n *vnode) uint64 {
 }
 
 // hashCounterBlock computes the hash binding counter-block contents to its
-// L0 version counter.
-func (t *VTree) hashCounterBlock(cb arch.BlockID, contents [arch.BlockSize]byte) uint64 {
-	leaf := t.LeafRef(cb)
+// L0 version counter, held by leaf.
+func (t *VTree) hashCounterBlock(cb arch.BlockID, leaf *vnode, contents [arch.BlockSize]byte) uint64 {
 	slot := t.geo.cbIndex(cb) % t.cfg.Arities[0]
 	buf := &t.cbBuf
-	binary.LittleEndian.PutUint64(buf[0:8], t.node(leaf).minors[slot])
+	binary.LittleEndian.PutUint64(buf[0:8], leaf.minors[slot])
 	copy(buf[8:], contents[:])
 	return t.h.HashBytes(buf[:])
 }
 
-// VerifyCounterBlock implements Tree. The first-ever verification of a
-// counter block lazily establishes its hash (the tree-construction-at-init
-// equivalence): counters only mutate while cached, so a block can never be
-// filled with contents that differ from its last writeback.
+// VerifyCounterBlock implements Tree. The first verification of a counter
+// block since its leaf was last reset lazily establishes its hash (the
+// tree-construction-at-init equivalence): counters only mutate while
+// cached, so a block can never be filled with contents that differ from
+// its last writeback.
 func (t *VTree) VerifyCounterBlock(cb arch.BlockID, contents [arch.BlockSize]byte) bool {
-	want := t.hashCounterBlock(cb, contents)
-	got, ok := t.ctrHash[cb]
-	if !ok {
-		t.ctrHash[cb] = want
-		return true
+	leaf := t.node(t.LeafRef(cb))
+	want := t.hashCounterBlock(cb, leaf, contents)
+	if e, ok := t.ctrHash[cb]; ok && e.major == leaf.major {
+		return e.hash == want
 	}
-	return got == want
+	t.ctrHash[cb] = ctrEntry{hash: want, major: leaf.major}
+	return true
 }
 
 // VerifyNode implements Tree (one step of Algorithm 2).
@@ -220,58 +278,59 @@ func (t *VTree) bumpMinor(ref NodeRef) *Update {
 	return up
 }
 
-// overflow resets the subtree under ref and reports it, listing the
-// re-hashed blocks in the tree's shared rehashed buffer.
-func (t *VTree) overflow(ref NodeRef) *Update {
-	up := &Update{Overflow: true, OverflowRef: ref, Rehashed: t.rehashed[:0]}
-	t.resetSubtree(ref, up)
-	t.rehashed = up.Rehashed
-	return up
-}
-
-// resetSubtree implements the overflow handling of §IV-C: the node and
-// ALL its descendant node blocks have their majors incremented and minors
+// overflow implements the overflow handling of §IV-C: the node and ALL
+// its descendant node blocks have their majors incremented and minors
 // reset, and every hash in the subtree must be recomputed — the hardware
 // cannot skip any of them, because each child's embedded hash covers its
 // parent's (now reset) version counter. The full subtree therefore counts
 // as re-hash traffic, which is what makes tree-counter overflow so
 // expensive and so observable (Fig. 8).
 //
-// State updates touch every descendant node; counter-block hash entries
-// that were never established are simply left to lazy re-initialization
-// (equivalent, since their recomputed value is whatever the next fill
-// observes).
-func (t *VTree) resetSubtree(ref NodeRef, up *Update) {
+// Only ref's own state changes here: descendants catch up on their next
+// node() call and counter-block hashes retire by major (see ctrEntry), so
+// the reset costs O(depth) in tree state. The re-hash list is written as
+// block runs into the tree's shared rehashed buffer.
+func (t *VTree) overflow(ref NodeRef) *Update {
 	n := t.node(ref)
+	n.resets++
 	n.major++
-	for i := range n.minors {
-		n.minors[i] = 0
-	}
+	clear(n.minors)
 	n.hashSet = false
-	up.Rehashed = append(up.Rehashed, t.NodeBlockID(ref))
-	if ref.Level == 0 {
-		// Every counter block under this leaf node is re-hashed.
-		base := ref.Index * t.cfg.Arities[0]
-		for i := 0; i < t.cfg.Arities[0]; i++ {
-			cbIdx := base + i
-			if cbIdx >= t.geo.nCB {
-				break
-			}
-			cb := arch.CounterBase.Block() + arch.BlockID(t.geo.cbOff+cbIdx)
-			delete(t.ctrHash, cb)
-			up.Rehashed = append(up.Rehashed, cb)
-		}
-		return
-	}
-	childLevel := ref.Level - 1
+	t.resetSeq++
+	n.seq = t.resetSeq
+	up := &Update{Overflow: true, OverflowRef: ref}
+	up.Rehashed = t.appendSubtree(t.rehashed[:0], ref)
+	t.rehashed = up.Rehashed
+	return up
+}
+
+// appendSubtree lists the blocks of ref's subtree depth-first: the node
+// block, then its children's subtrees, with a leaf's counter blocks as one
+// run after the leaf.
+func (t *VTree) appendSubtree(runs []BlockRun, ref NodeRef) []BlockRun {
+	runs = appendRun(runs, t.NodeBlockID(ref), 1)
 	a := t.cfg.Arities[ref.Level]
-	for i := 0; i < a; i++ {
-		childIdx := ref.Index*a + i
-		if childIdx >= t.geo.counts[childLevel] {
-			break
-		}
-		t.resetSubtree(NodeRef{Level: childLevel, Index: childIdx}, up)
+	first := ref.Index * a
+	if ref.Level == 0 {
+		cb := arch.CounterBase.Block() + arch.BlockID(t.geo.cbOff+first)
+		return appendRun(runs, cb, min(a, t.geo.nCB-first))
 	}
+	child := NodeRef{Level: ref.Level - 1}
+	end := min(first+a, t.geo.counts[child.Level])
+	for child.Index = first; child.Index < end; child.Index++ {
+		runs = t.appendSubtree(runs, child)
+	}
+	return runs
+}
+
+// appendRun appends n blocks from first, extending the last run when the
+// two are adjacent.
+func appendRun(runs []BlockRun, first arch.BlockID, n int) []BlockRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].First+arch.BlockID(runs[k].N) == first {
+		runs[k].N += n
+		return runs
+	}
+	return append(runs, BlockRun{First: first, N: n})
 }
 
 // WritebackCounterBlock implements Tree: the lazy update when a dirty
@@ -288,7 +347,7 @@ func (t *VTree) WritebackCounterBlock(cb arch.BlockID, contents [arch.BlockSize]
 		up = t.overflow(leaf)
 		n.minors[slot] = 1
 	}
-	t.ctrHash[cb] = t.hashCounterBlock(cb, contents)
+	t.ctrHash[cb] = ctrEntry{hash: t.hashCounterBlock(cb, n, contents), major: n.major}
 	return up
 }
 
@@ -318,9 +377,11 @@ func (t *VTree) CorruptNode(ref NodeRef) {
 // CorruptCounterHash flips the stored hash of a counter block (tamper
 // injection for tests).
 func (t *VTree) CorruptCounterHash(cb arch.BlockID) {
-	if h, ok := t.ctrHash[cb]; ok {
-		t.ctrHash[cb] = h ^ 0xdeadbeef
-	} else {
-		t.ctrHash[cb] = 0xdeadbeef
+	leaf := t.node(t.LeafRef(cb))
+	e, ok := t.ctrHash[cb]
+	if !ok || e.major != leaf.major {
+		e = ctrEntry{major: leaf.major}
 	}
+	e.hash ^= 0xdeadbeef
+	t.ctrHash[cb] = e
 }

@@ -233,6 +233,41 @@ func TestTreeCounterOverflowViaWritebacks(t *testing.T) {
 	}
 }
 
+// An L1 tree-minor overflow reached through Controller.Write re-hashes the
+// L1 node, its 16 leaves and their 512 counter blocks: the Write reports
+// 529 blocks and the stats count the same 529.
+func TestL1OverflowRehashCount(t *testing.T) {
+	c, _, tree := build(8)
+	// Saturate L1[0]'s version counter for leaf 0 directly, so the next
+	// writeback of the leaf node block overflows it.
+	for i := uint64(0); i < tree.MinorMax(); i++ {
+		tree.WritebackNode(itree.NodeRef{Level: 0, Index: 0})
+	}
+	var plain crypto.Block
+	now := c.Write(0, arch.PageID(0).Block(0), plain).Latency
+	// Churn the metadata cache with writes to pages under L1[1] until the
+	// dirty counter block, then its dirty leaf, is written back.
+	before := c.Stats().RehashedBlocks
+	for p := 512; p < 1024; p++ {
+		rep := c.Write(now, arch.PageID(p).Block(0), plain)
+		now += rep.Latency + 10
+		if !rep.TreeOverflow {
+			continue
+		}
+		if rep.Rehashed != 529 {
+			t.Fatalf("L1 overflow reported %d re-hashed blocks, want 529", rep.Rehashed)
+		}
+		if got := c.Stats().RehashedBlocks - before; got != 529 {
+			t.Fatalf("L1 overflow added %d to RehashedBlocks, want 529", got)
+		}
+		if tree.MinorValue(itree.NodeRef{Level: 1, Index: 0}, 0) != 1 {
+			t.Fatal("overflow was not at leaf 0's slot in L1[0]")
+		}
+		return
+	}
+	t.Fatal("no tree overflow after churning the metadata cache")
+}
+
 func TestFlushWriteQueue(t *testing.T) {
 	c, _, _ := build(256)
 	var plain crypto.Block
