@@ -77,15 +77,16 @@ hunt-smoke:
 bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkRunAll' -benchtime=1x .
 
-# Per-layer host-time benchmarks for the set-up paths the profile names:
-# machine construction, eviction-set search, integrity-tree subtree reset,
-# and DRAM background bursts, per block and per run. CI runs them once each (BENCHTIME=1x) so
-# they keep compiling and running.
+# Per-layer host-time benchmarks for the paths the profile names: machine
+# construction, eviction-set search, integrity-tree subtree reset, DRAM
+# background bursts (per block and per run), and the crypto engine's MAC,
+# node and counter-block hashes and block encryption. CI runs them once
+# each (BENCHTIME=1x) so they keep compiling and running.
 BENCHTIME ?= 1s
 
 bench-layers:
-	$(GO) test -run='^$$' -bench='^Benchmark(NewSystem|BuildEvictionSet|SubtreeReset|DRAMBackground|DRAMBackgroundRun)$$' \
-		-benchmem -benchtime=$(BENCHTIME) ./internal/machine ./internal/core ./internal/itree ./internal/dram
+	$(GO) test -run='^$$' -bench='^Benchmark(NewSystem|BuildEvictionSet|SubtreeReset|DRAMBackground|DRAMBackgroundRun|MAC|HashNode|HashCounterBlock|EncryptBlock)$$' \
+		-benchmem -benchtime=$(BENCHTIME) ./internal/machine ./internal/core ./internal/itree ./internal/dram ./internal/crypto
 
 # Substrate microbenchmarks + fixed-grid sweep throughput as a
 # machine-readable record (DESIGN.md §11). bench-json refreshes the

@@ -36,6 +36,18 @@ func BenchmarkHashNode(b *testing.B) {
 	}
 }
 
+// BenchmarkHashCounterBlock hashes a split-counter block's serialization,
+// the VTree.hashCounterBlock input that dominates HashBytes time.
+func BenchmarkHashCounterBlock(b *testing.B) {
+	e := New(DefaultConfig())
+	buf := make([]byte, 72)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = e.HashBytes(buf)
+	}
+}
+
 func BenchmarkFastModeEncrypt(b *testing.B) {
 	e := New(Config{AESLatency: 20, HashLatency: 12, Fast: true})
 	var p Block

@@ -14,6 +14,7 @@ package crypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 
 	"metaleak/internal/arch"
@@ -127,10 +128,7 @@ func (e *Engine) otp(b arch.BlockID, ctr uint64) *Block {
 // not alias the engine's internal pad (callers outside this package
 // cannot). This is the allocation-free path the controller uses.
 func (e *Engine) EncryptTo(dst, plain *Block, b arch.BlockID, ctr uint64) {
-	pad := e.otp(b, ctr)
-	for i := range dst {
-		dst[i] = plain[i] ^ pad[i]
-	}
+	subtle.XORBytes(dst[:], plain[:], e.otp(b, ctr)[:])
 }
 
 // DecryptTo inverts EncryptTo (counter-mode encryption is an involution

@@ -178,22 +178,6 @@ func TestBadKeyPanics(t *testing.T) {
 	New(Config{Key: []byte("short")})
 }
 
-func TestGhashTableMatchesBitSerial(t *testing.T) {
-	// The table-driven multiply must agree with the reference bit-serial
-	// gfMul for every subkey and operand — it is what keeps the optimized
-	// MAC/HashBytes byte-identical to the pre-optimization engine.
-	f := func(h0, h1, y0, y1 uint64) bool {
-		var tbl ghashTable
-		tbl.init([2]uint64{h0, h1})
-		y := [2]uint64{y0, y1}
-		tbl.mul(&y)
-		return y == gfMul([2]uint64{y0, y1}, [2]uint64{h0, h1})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMACDistinguishesTopBitCounters(t *testing.T) {
 	// Two seeds differing only in bit 63 — exactly where MoC/GC key-epoch
 	// bits live — must produce distinct tags in both engines. The fast

@@ -210,6 +210,9 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 					f, err := ReadFrame(br)
 					select {
 					case events <- connEvent{c: wc, f: f, err: err}:
+						if frameQueued != nil {
+							frameQueued(f)
+						}
 					case <-done:
 						return
 					}
@@ -275,7 +278,7 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 				}
 			}
 			grace.Stop()
-			st.shutdown()
+			st.finish(events)
 			return settled, nil
 		case ev := <-events:
 			st.handle(ev)
@@ -289,8 +292,39 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) (map[int]Settle
 			coolTimer.Stop()
 		}
 	}
-	st.shutdown()
+	st.finish(events)
 	return settled, nil
+}
+
+// Test hooks, nil outside tests: frameQueued observes every frame a
+// reader forwards to the Run loop, and gridSettled runs in the Run loop
+// once the grid has settled, before the queued events are drained.
+var (
+	frameQueued func(Frame)
+	gridSettled func()
+)
+
+// finish ends a settled run. Events already queued are drained without
+// blocking: a pending hello is answered with a "run complete" fail frame,
+// so a late joiner (a respawn, an external worker) learns why it gets no
+// job instead of reading EOF; everything else is moot once the grid is
+// decided. Then every surviving worker drains; Run's teardown closes the
+// late joiners' connections with the rest.
+func (st *coordState) finish(events <-chan connEvent) {
+	if gridSettled != nil {
+		gridSettled()
+	}
+	for {
+		select {
+		case ev := <-events:
+			if ev.err == nil && ev.f.Type == FrameHello {
+				st.send(ev.c, Frame{Type: FrameFail, Fail: &Fail{Reason: "run complete"}})
+			}
+		default:
+			st.shutdown()
+			return
+		}
+	}
 }
 
 // coordState is the Run loop's private scheduling state.

@@ -92,8 +92,8 @@ type runOut struct {
 // runAsync starts co.Run in a goroutine, so a test can drive a side
 // peer through its handshake before attaching the worker that settles
 // the grid. Once the grid settles, a peer whose hello is still queued
-// is never answered, so a test asserting that peer's outcome must wait
-// for it first.
+// is refused with "run complete", not with its own refusal reason, so a
+// test asserting that reason must wait for the peer first.
 func runAsync(ctx context.Context, co *Coordinator, ln net.Listener) <-chan runOut {
 	ran := make(chan runOut, 1)
 	go func() {

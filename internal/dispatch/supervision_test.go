@@ -164,6 +164,53 @@ func TestDispatchHeartbeatVsLeaseTimeout(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDispatchLateHelloRunComplete: a worker whose hello is queued only
+// after the grid settled is refused with "run complete" instead of being
+// left to read EOF. The hook holds the coordinator between the last
+// settle and the drain of queued events until the late hello is queued,
+// so the handshake-after-settle order is forced, not raced.
+func TestDispatchLateHelloRunComplete(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ln := mustListen(t)
+	co := NewCoordinator(jobSpec(t, testJob{Mult: 5}), grid(4), Options{})
+
+	lateErr := make(chan error, 1)
+	late := &Worker{ID: "late", Heartbeat: 20 * time.Millisecond,
+		Init: func(json.RawMessage) (Session, error) { return testSession(testJob{Mult: 5}, nil, nil), nil }}
+	restore := holdAfterSettle("late", func() <-chan struct{} {
+		gone := make(chan struct{})
+		go func() {
+			defer close(gone)
+			conn, err := Dial(ln.Addr().String())
+			if err != nil {
+				lateErr <- err
+				return
+			}
+			lateErr <- late.Run(ctx, conn)
+		}()
+		return gone
+	})
+	ran := runAsync(ctx, co, ln)
+	wg := startWorker(t, ctx, ln.Addr().String(), "healthy", testSession(testJob{Mult: 5}, nil, nil))
+	out := <-ran
+	restore()
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkPayloads(t, out.settled, 4, 5)
+	select {
+	case err := <-lateErr:
+		if err == nil || !strings.Contains(err.Error(), "run complete") {
+			t.Errorf("late worker returned %v, want a \"run complete\" refusal", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("late worker never returned")
+	}
+	cancel()
+	wg.Wait()
+}
+
 // TestDispatchReviveAbsorbsDrops: with a Revive budget, a revoked lease
 // consumes no attempt and records no error — the dropped cell settles
 // clean even at MaxLeases 1, where the historic accounting would have
