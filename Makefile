@@ -60,7 +60,8 @@ fuzz-smoke:
 
 # The differential-fuzzer smoke: a fixed 2-config x 4-program x 2-pair
 # grid must reproduce the committed verdict CSV byte for byte, at any
-# -par width and through the distributed dispatch path. Regenerate the
+# -par width, through the distributed dispatch path, and resumed from a
+# checkpoint whose writer died mid-append (harness:trunc). Regenerate the
 # golden (after auditing the diff) by copying /tmp/hunt-smoke.csv over
 # internal/hunt/testdata/smoke.csv.
 HUNT_SMOKE = hunt -configs sct,ht -programs 4 -pairs 2 -seed 42
@@ -70,6 +71,9 @@ hunt-smoke:
 	diff internal/hunt/testdata/smoke.csv /tmp/hunt-smoke.csv
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -par 1 2>/dev/null | diff /tmp/hunt-smoke.csv -
 	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -workers 2 2>/dev/null | diff /tmp/hunt-smoke.csv -
+	rm -f /tmp/hunt-cp.jsonl
+	-$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-cp.jsonl -faults 'harness:trunc@3' >/dev/null 2>&1
+	$(GO) run ./cmd/metaleak $(HUNT_SMOKE) -checkpoint /tmp/hunt-cp.jsonl 2>/dev/null | diff internal/hunt/testdata/smoke.csv -
 
 # Sequential vs GOMAXPROCS-parallel wall-clock over the full experiment
 # registry: the speedup the spec/trial/merge harness buys on this

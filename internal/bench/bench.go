@@ -195,7 +195,7 @@ func Run() (Record, error) {
 	var sweepErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Sweep(context.Background(), axes, 1); err != nil {
+			if _, err := experiments.SweepOpts(context.Background(), axes, experiments.SweepOptions{Workers: 1}); err != nil {
 				sweepErr = err
 				b.Fatal(err)
 			}

@@ -253,7 +253,7 @@ func ChaosSweep(ctx context.Context, dir string, seed uint64) error {
 	if err := rowsIdentical(clean, crashed); err != nil {
 		return fmt.Errorf("chaos sweep: crashing run's in-memory rows differ: %w", err)
 	}
-	cp, err := OpenCheckpoint(cpPath, axes)
+	cp, err := openCheckpoint(sweepKind, cpPath, axes)
 	if err != nil {
 		return fmt.Errorf("chaos sweep: resume open after tear: %w", err)
 	}
@@ -310,7 +310,7 @@ func ChaosDispatch(ctx context.Context, seed uint64) error {
 	}
 
 	// 1. Identity at 4 workers, no faults.
-	rows, err := runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{}, 4, nil)
+	rows, err := sweepKind.runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{}, 4, nil)
 	if err != nil {
 		return fmt.Errorf("chaos dispatch: 4-worker run: %w", err)
 	}
@@ -320,7 +320,7 @@ func ChaosDispatch(ctx context.Context, seed uint64) error {
 
 	// 2. One planned drop on cell 1's first lease; a retry recovers it.
 	dropPlan := faults.MustParse("harness:disconnect@1x1")
-	rows, err = runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, dropPlan.NewHarness())
+	rows, err = sweepKind.runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, dropPlan.NewHarness())
 	if err != nil {
 		return fmt.Errorf("chaos dispatch: drop/re-lease run: %w", err)
 	}
@@ -332,7 +332,7 @@ func ChaosDispatch(ctx context.Context, seed uint64) error {
 	// moves. Two drops against a 1-retry budget (2 leases) kill exactly
 	// two of the four workers; the survivors finish the grid.
 	qPlan := faults.MustParse("harness:disconnect@0x2")
-	rows, err = runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, qPlan.NewHarness())
+	rows, err = sweepKind.runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, qPlan.NewHarness())
 	if err != nil {
 		return fmt.Errorf("chaos dispatch: quarantine run: %w", err)
 	}
@@ -391,7 +391,7 @@ func ChaosServe(ctx context.Context, dir string, seed uint64) error {
 	// revived worker re-dials, and the revive budget re-deals the revoked
 	// leases without touching the (empty) retry budget.
 	flapPlan := faults.MustParse("harness:flap@1x2;harness:flap@4")
-	rows, err := runSupervisedDispatch(ctx, axes, SweepOptions{}, DispatchOptions{
+	rows, err := sweepKind.runSupervisedDispatch(ctx, axes, SweepOptions{}, DispatchOptions{
 		Revive:       8,
 		RetryBackoff: runner.ExpBackoff(time.Millisecond),
 	}, 2, flapPlan.NewHarness())
@@ -414,7 +414,7 @@ func ChaosServe(ctx context.Context, dir string, seed uint64) error {
 	if err != nil {
 		return fmt.Errorf("chaos serve: open cache: %w", err)
 	}
-	rows, err = runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{Cache: cache}, 2, nil)
+	rows, err = sweepKind.runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{Cache: cache}, 2, nil)
 	if err != nil {
 		return fmt.Errorf("chaos serve: cache-populating run: %w", err)
 	}
@@ -437,9 +437,9 @@ func ChaosServe(ctx context.Context, dir string, seed uint64) error {
 		return fmt.Errorf("chaos serve: reopen cache: %w", err)
 	}
 	var cached, computed int
-	rows, err = runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{
+	rows, err = sweepKind.runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{
 		Cache: cache,
-		OnRow: func(_ SweepRow, fromCache bool) {
+		OnRow: func(_ any, fromCache bool) {
 			if fromCache {
 				cached++
 			} else {
@@ -467,9 +467,9 @@ func ChaosServe(ctx context.Context, dir string, seed uint64) error {
 		return fmt.Errorf("chaos serve: big clean run: %w", err)
 	}
 	cached, computed = 0, 0
-	rows, err = runLocalDispatch(ctx, big, SweepOptions{}, DispatchOptions{
+	rows, err = sweepKind.runLocalDispatch(ctx, big, SweepOptions{}, DispatchOptions{
 		Cache: cache,
-		OnRow: func(_ SweepRow, fromCache bool) {
+		OnRow: func(_ any, fromCache bool) {
 			if fromCache {
 				cached++
 			} else {
@@ -494,7 +494,7 @@ func ChaosServe(ctx context.Context, dir string, seed uint64) error {
 
 // rowsIdentical compares two row slices byte-for-byte through their
 // canonical JSON encoding — the same bytes the checkpoint persists.
-func rowsIdentical(want, got []SweepRow) error {
+func rowsIdentical[R any](want, got []R) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d rows vs %d", len(got), len(want))
 	}

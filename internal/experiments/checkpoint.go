@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,27 +10,23 @@ import (
 	"sync"
 )
 
-// The checkpoint layer makes long sweeps restartable. A checkpoint file
-// is JSONL: a header line naming the format and the sweep's fingerprint,
-// then one completed SweepRow per line in completion order (duplicates
-// allowed; the last line for a cell wins). Rows are appended — O(1) per
-// settled cell — and every line ends with '\n', which makes the failure
-// mode of a crash legible: the only damage a SIGKILL mid-append can do
-// is one unterminated trailing line. Resume salvages around exactly
-// that: complete lines are loaded, a torn tail is logged, cut off, and
-// its cell re-run (deterministically reproducing the lost row). Damage
-// anywhere else — a complete line that does not parse or does not
-// belong to the grid — is not a crash signature and still fails loudly.
+// The checkpoint layer makes long grids restartable. A checkpoint file
+// is JSONL: a header line naming the kind's format and the grid's
+// fingerprint, then one completed row per line in completion order
+// (duplicates allowed; the last line for a cell wins). Rows are
+// appended — O(1) per settled cell — and every line ends with '\n',
+// which makes the failure mode of a crash legible: the only damage a
+// SIGKILL mid-append can do is one unterminated trailing line. Resume
+// salvages around exactly that: complete lines are loaded, a torn tail
+// is logged, cut off, and its cell re-run (deterministically
+// reproducing the lost row). Damage anywhere else — a complete line
+// that does not parse or does not belong to the grid — is not a crash
+// signature and still fails loudly.
 //
-// The fingerprint ties a checkpoint to the exact grid that wrote it:
-// the hash covers every expanded cell (config, axis labels, rep, and the
-// cell's derived machine seed), the per-cell bit budget, and the
-// design-point overrides — including any machine-level fault plan, which
-// travels as a FaultSpec override. Resuming with any other axes fails
-// loudly instead of silently merging rows from unrelated grids.
-
-// checkpointFormat identifies the file layout; bump on changes.
-const checkpointFormat = "metaleak-sweep-checkpoint/v1"
+// The fingerprint ties a checkpoint to the exact grid that wrote it
+// (see SweepAxes.Fingerprint and HuntAxes.Fingerprint); each kind has
+// its own format string, so resuming one kind's grid from the other's
+// file fails at the header, not at a row.
 
 type checkpointHeader struct {
 	Format      string
@@ -40,43 +34,14 @@ type checkpointHeader struct {
 	Cells       int
 }
 
-// normalized applies the defaults Sweep applies, so fingerprints agree
-// with what actually runs.
-func (a SweepAxes) normalized() SweepAxes {
-	if a.Bits <= 0 {
-		a.Bits = DefaultSweepAxes().Bits
-	}
-	if a.Seeds <= 0 {
-		a.Seeds = 1
-	}
-	return a
-}
-
-// Fingerprint identifies the sweep for checkpoint compatibility: a hash
-// of the expanded cell list (axis labels, reps, and derived per-cell
-// seeds — so the base seed is covered transitively), the per-cell bit
-// budget, and the design-point overrides.
-func (a SweepAxes) Fingerprint() string {
-	a = a.normalized()
-	h := sha256.New()
-	fmt.Fprintf(h, "v1 seed=%d bits=%d set=%q\n", a.Seed, a.Bits, a.Set)
-	for _, c := range a.Cells() {
-		fmt.Fprintf(h, "%d %s %s %d %d %d %d\n",
-			c.Index, c.Config, c.MinorLabel(), c.MetaKB, c.Noise, c.Rep, c.Seed)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Checkpoint is the durable record of a sweep in progress: completed
+// checkpoint is the durable record of a grid in progress: completed
 // rows keyed by cell index, appended to disk as they settle.
-type Checkpoint struct {
-	path   string
-	header checkpointHeader
-	cells  []SweepCell
+type checkpoint[A any, C comparable, R any] struct {
+	k   *gridKind[A, C, R]
+	out jsonlFile
 
 	mu        sync.Mutex
-	rows      map[int]SweepRow
-	f         *os.File // lazily opened append handle
+	rows      map[int]R
 	appends   int
 	tamper    func(path string, appendN int) bool
 	crashed   bool   // simulated writer death (fault injection)
@@ -84,97 +49,63 @@ type Checkpoint struct {
 	err       error  // first persistence failure; appends stop after it
 }
 
-// OpenCheckpoint opens (or starts) the checkpoint for a sweep. A
-// missing or empty file begins an empty checkpoint; an existing one
-// must carry the axes' fingerprint and well-formed rows belonging to
-// the grid, or the open fails — a checkpoint from a different sweep is
-// never merged. The one exception is the crash signature of the append
-// discipline itself: an unterminated trailing line (a write torn by
-// SIGKILL or power loss mid-append) is salvaged — logged via
-// Discarded, cut off the file, and its cell left to re-run — instead
-// of failing the whole resume.
-func OpenCheckpoint(path string, axes SweepAxes) (*Checkpoint, error) {
-	axes = axes.normalized()
-	cells := axes.Cells()
-	cp := &Checkpoint{
-		path: path,
-		header: checkpointHeader{
-			Format:      checkpointFormat,
-			Fingerprint: axes.Fingerprint(),
-			Cells:       len(cells),
-		},
-		cells: cells,
-		rows:  map[int]SweepRow{},
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0) {
-		return cp, nil
-	}
+// openCheckpoint opens (or starts) the checkpoint for a grid. A missing
+// or empty file begins an empty checkpoint; an existing one must carry
+// the kind's format, the axes' fingerprint and well-formed rows
+// belonging to the grid, or the open fails — a checkpoint from a
+// different grid is never merged. The one exception is the crash
+// signature of the append discipline itself: an unterminated trailing
+// line is salvaged — reported via Discarded, cut off the file, and its
+// cell left to re-run — instead of failing the whole resume.
+func openCheckpoint[A any, C comparable, R any](k *gridKind[A, C, R], path string, axes A) (*checkpoint[A, C, R], error) {
+	axes = k.normalize(axes)
+	cells := k.cells(axes)
+	hdr := checkpointHeader{Format: k.format, Fingerprint: k.fingerprint(axes), Cells: len(cells)}
+	hdrLine, err := json.Marshal(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
+		return nil, err
 	}
-
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// The file is a single torn line: a crash before the header's
-		// append completed. Nothing is salvageable, but nothing is lost
-		// either — start fresh.
-		cp.discarded = string(data)
-		if err := os.Truncate(path, 0); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: cutting torn header: %w", path, err)
-		}
-		return cp, nil
+	cp := &checkpoint[A, C, R]{
+		k:    k,
+		out:  jsonlFile{path: path, what: "checkpoint", header: hdrLine},
+		rows: map[int]R{},
 	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil || hdr.Format != checkpointFormat {
-		return nil, fmt.Errorf("checkpoint %s: not a %s file", path, checkpointFormat)
-	}
-	if hdr.Fingerprint != cp.header.Fingerprint {
-		return nil, fmt.Errorf("checkpoint %s: fingerprint %.12s… does not match this sweep's %.12s… — "+
-			"it was written by different axes (configs, widths, sizes, noise, seeds, bits, or -set overrides); "+
-			"rerun with the original arguments or remove the file", path, hdr.Fingerprint, cp.header.Fingerprint)
-	}
-
-	off := nl + 1
-	rest := data[off:]
-	for line := 2; len(rest) > 0; line++ {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			// Torn trailing line: the crash signature. Salvage everything
-			// before it and cut the tear off so appends resume cleanly.
-			cp.discarded = string(rest)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: cutting torn line: %w", path, err)
-			}
-			break
+	cp.discarded, err = readJSONL(path, "checkpoint", func(line []byte) error {
+		var got checkpointHeader
+		if err := json.Unmarshal(line, &got); err != nil || got.Format != k.format {
+			return fmt.Errorf("not a %s file", k.format)
 		}
-		seg := rest[:idx]
-		off += idx + 1
-		rest = rest[idx+1:]
-		if len(bytes.TrimSpace(seg)) == 0 {
-			continue
+		if got.Fingerprint != hdr.Fingerprint {
+			return fmt.Errorf("fingerprint %.12s… does not match this %s's %.12s… — "+
+				"it was written by different axes (%s); "+
+				"rerun with the original arguments or remove the file", got.Fingerprint, k.name, hdr.Fingerprint, k.axesNames)
 		}
-		var row SweepRow
-		if err := json.Unmarshal(seg, &row); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, line, err)
+		return nil
+	}, func(line []byte) error {
+		var row R
+		if err := json.Unmarshal(line, &row); err != nil {
+			return err
 		}
-		if row.Index < 0 || row.Index >= len(cells) {
-			return nil, fmt.Errorf("checkpoint %s: line %d: cell index %d outside the %d-cell grid",
-				path, line, row.Index, len(cells))
+		i := k.index(row)
+		if i < 0 || i >= len(cells) {
+			return fmt.Errorf("cell index %d outside the %d-cell grid", i, len(cells))
 		}
-		if row.SweepCell != cells[row.Index] {
-			return nil, fmt.Errorf("checkpoint %s: line %d: cell %d does not match the grid (file %+v, grid %+v)",
-				path, line, row.Index, row.SweepCell, cells[row.Index])
+		if c := k.cellOf(row); c != cells[i] {
+			return fmt.Errorf("cell %d does not match the grid (file %+v, grid %+v)", i, c, cells[i])
 		}
-		cp.rows[row.Index] = row
+		cp.rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cp, nil
 }
 
-// Discarded returns the torn trailing line OpenCheckpoint salvaged
+// Discarded returns the torn trailing line openCheckpoint salvaged
 // away, if any — callers surface it as a warning so the data loss
 // (exactly one re-runnable cell) is visible, not silent.
-func (c *Checkpoint) Discarded() string {
+func (c *checkpoint[A, C, R]) Discarded() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.discarded
@@ -185,7 +116,7 @@ func (c *Checkpoint) Discarded() string {
 // true return simulates the writing process dying — the file is left
 // exactly as the tamperer arranged it and every later append is
 // silently dropped, which is what death looks like to the file.
-func (c *Checkpoint) SetTamperer(fn func(path string, appendN int) bool) {
+func (c *checkpoint[A, C, R]) SetTamperer(fn func(path string, appendN int) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tamper = fn
@@ -196,12 +127,12 @@ func (c *Checkpoint) SetTamperer(fn func(path string, appendN int) bool) {
 // re-runs them — a deterministic failure reproduces the identical row,
 // and a transient one (a since-fixed config, a freed resource) gets its
 // retry.
-func (c *Checkpoint) Completed() map[int]SweepRow {
+func (c *checkpoint[A, C, R]) Completed() map[int]R {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[int]SweepRow, len(c.rows))
+	out := make(map[int]R, len(c.rows))
 	for i, r := range c.rows {
-		if r.Err == "" {
+		if c.k.errOf(r) == "" {
 			out[i] = r
 		}
 	}
@@ -211,20 +142,31 @@ func (c *Checkpoint) Completed() map[int]SweepRow {
 // Append records a settled row and appends it to the file. Safe for
 // concurrent use; after the first persistence failure further appends
 // are dropped and Err reports the failure.
-func (c *Checkpoint) Append(row SweepRow) {
+func (c *checkpoint[A, C, R]) Append(row R) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil || c.crashed {
 		return
 	}
-	c.rows[row.Index] = row
-	c.err = c.appendLocked(row)
+	c.rows[c.k.index(row)] = row
+	line, err := json.Marshal(row)
+	if err == nil {
+		err = c.out.append(line)
+	}
+	if c.err = err; err != nil {
+		return
+	}
+	c.appends++
+	if c.tamper != nil && c.tamper(c.out.path, c.appends) {
+		c.crashed = true
+		c.out.close()
+	}
 }
 
 // Err returns the first persistence failure, if any. A simulated crash
 // from the tamper hook is not a failure — it is the scenario under
 // test.
-func (c *Checkpoint) Err() error {
+func (c *checkpoint[A, C, R]) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
@@ -232,57 +174,100 @@ func (c *Checkpoint) Err() error {
 
 // Close releases the append handle. The file needs no finalization —
 // every append left it complete.
-func (c *Checkpoint) Close() error {
+func (c *checkpoint[A, C, R]) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
+	return c.out.close()
 }
 
-// appendLocked writes one row line, opening the file (and writing the
-// header) on first use. Lines are written in single Write calls ending
-// in '\n', so the only state a crash can leave behind is a torn final
-// line — the exact shape OpenCheckpoint knows how to salvage.
-func (c *Checkpoint) appendLocked(row SweepRow) error {
-	if c.f == nil {
-		f, err := os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// readJSONL loads a file written under the append discipline shared by
+// checkpoints and the result cache: header receives the first line,
+// line every later complete non-blank line. A missing or empty file
+// reads as empty. An unterminated trailing line — the one shape a crash
+// mid-append leaves — is cut off the file and returned as discarded; a
+// file that is nothing but one unterminated line (a crash before the
+// header's append completed) is emptied. Errors are prefixed with what
+// and the path, and line errors with the 1-based line number.
+func readJSONL(path, what string, header, line func([]byte) error) (discarded string, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0) {
+		return "", nil
+	}
+	if err != nil {
+		return "", fmt.Errorf("%s %s: %w", what, path, err)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		if err := os.Truncate(path, 0); err != nil {
+			return "", fmt.Errorf("%s %s: cutting torn header: %w", what, path, err)
+		}
+		return string(data), nil
+	}
+	if err := header(data[:nl]); err != nil {
+		return "", fmt.Errorf("%s %s: %w", what, path, err)
+	}
+	off := nl + 1
+	rest := data[off:]
+	for n := 2; len(rest) > 0; n++ {
+		idx := bytes.IndexByte(rest, '\n')
+		if idx < 0 {
+			if err := os.Truncate(path, int64(off)); err != nil {
+				return "", fmt.Errorf("%s %s: cutting torn line: %w", what, path, err)
+			}
+			return string(rest), nil
+		}
+		seg := rest[:idx]
+		off += idx + 1
+		rest = rest[idx+1:]
+		if len(bytes.TrimSpace(seg)) == 0 {
+			continue
+		}
+		if err := line(seg); err != nil {
+			return "", fmt.Errorf("%s %s: line %d: %w", what, path, n, err)
+		}
+	}
+	return "", nil
+}
+
+// jsonlFile is the append side of the same discipline: the file is
+// opened lazily, the header is written first when it is empty, and
+// every line goes out in one Write ending in '\n', so the only state a
+// crash can leave behind is a torn final line — the shape readJSONL
+// salvages. Callers serialize access.
+type jsonlFile struct {
+	path   string
+	what   string // error prefix: "checkpoint", "result cache"
+	header []byte
+	f      *os.File
+}
+
+func (j *jsonlFile) append(line []byte) error {
+	if j.f == nil {
+		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return fmt.Errorf("checkpoint %s: %w", c.path, err)
+			return fmt.Errorf("%s %s: %w", j.what, j.path, err)
 		}
 		st, err := f.Stat()
+		if err == nil && st.Size() == 0 {
+			_, err = f.Write(append(j.header[:len(j.header):len(j.header)], '\n'))
+		}
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("checkpoint %s: %w", c.path, err)
+			return fmt.Errorf("%s %s: %w", j.what, j.path, err)
 		}
-		if st.Size() == 0 {
-			hdr, err := json.Marshal(c.header)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := f.Write(append(hdr, '\n')); err != nil {
-				f.Close()
-				return fmt.Errorf("checkpoint %s: %w", c.path, err)
-			}
-		}
-		c.f = f
+		j.f = f
 	}
-	line, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
-	c.appends++
-	if c.tamper != nil && c.tamper(c.path, c.appends) {
-		c.crashed = true
-		c.f.Close()
-		c.f = nil
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("%s %s: %w", j.what, j.path, err)
 	}
 	return nil
+}
+
+func (j *jsonlFile) close() error {
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
 }

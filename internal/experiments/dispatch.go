@@ -16,25 +16,25 @@ import (
 )
 
 // This file binds the generic coordinator/worker protocol of
-// internal/dispatch to the sweep engine. The contract is the same one
-// the in-process runner honors: distribution is pure scheduling. A
-// cell's row is a function of the axes and the cell index — which
-// worker process ran it, in what steal order, and after how many
-// revoked leases never appears in the output — so SweepDispatch's
-// merged rows are byte-identical to SweepOpts' for any worker count,
-// steal schedule, or mid-run worker death.
+// internal/dispatch to the grid engine. The contract is the one the
+// in-process runner honors: distribution is pure scheduling. A cell's
+// row is a function of the axes and the cell index — which worker
+// process ran it, in what steal order, and after how many revoked
+// leases never appears in the output — so a dispatched grid's rows are
+// byte-identical to the in-process run's for any worker count, steal
+// schedule, or mid-run worker death.
 
-// SweepJob is the opaque job spec a sweep coordinator ships to its
-// workers: everything a worker needs to expand the identical grid and
-// run any cell of it.
-type SweepJob struct {
-	// Kind tags the engine for NewJobSession routing ("sweep"); empty is
-	// accepted for specs written before hunt jobs existed.
+// gridJob is the opaque job spec a coordinator ships to its workers:
+// everything a worker needs to expand the identical grid and run any
+// cell of it.
+type gridJob[A any] struct {
+	// Kind names the engine for NewJobSession routing; empty is accepted
+	// as a sweep, for specs written before hunt jobs existed.
 	Kind string `json:",omitempty"`
-	// Axes is the normalized sweep grid (including -set overrides, and
-	// hence any machine-level fault spec riding them).
-	Axes SweepAxes
-	// Fingerprint is the coordinator's Axes.Fingerprint(); a worker
+	// Axes is the normalized grid (including -set overrides, and hence
+	// any machine-level fault spec riding them).
+	Axes A
+	// Fingerprint is the coordinator's fingerprint of Axes; a worker
 	// whose own expansion fingerprints differently is running skewed
 	// code and refuses the job rather than contributing wrong rows.
 	Fingerprint string
@@ -47,56 +47,57 @@ type SweepJob struct {
 	HarnessSpec string
 }
 
-// NewSweepSession initializes a worker-side dispatch session from a
-// SweepJob payload, building the session's fault harness from the
-// job's harness spec (per-process attempt counting). It is the Init
-// hook `metaleak worker` uses.
-func NewSweepSession(spec json.RawMessage) (dispatch.Session, error) {
-	var h *faults.Harness
-	var job SweepJob
+// NewJobSession is the Init hook `metaleak worker` uses: it routes a
+// job payload to the engine its Kind names — "hunt" to the differential
+// fuzzer, "" or "sweep" to the sweep — so one worker binary serves any
+// coordinator, and builds the session's fault harness from the job's
+// harness spec (per-process attempt counting).
+func NewJobSession(spec json.RawMessage) (dispatch.Session, error) {
+	var job struct{ Kind string }
 	if err := json.Unmarshal(spec, &job); err != nil {
-		return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
+		return dispatch.Session{}, fmt.Errorf("job: %w", err)
 	}
-	if job.HarnessSpec != "" {
+	switch job.Kind {
+	case "", "sweep":
+		return sweepKind.session(spec, nil)
+	case "hunt":
+		return huntKind.session(spec, nil)
+	}
+	return dispatch.Session{}, fmt.Errorf("job: unknown kind %q (sweep or hunt)", job.Kind)
+}
+
+// session initializes a worker-side dispatch session from a job
+// payload. h, when non-nil, replaces the harness the job's spec would
+// build — in-process workers share one harness so planned faults count
+// attempts globally and fire deterministically.
+func (k *gridKind[A, C, R]) session(spec json.RawMessage, h *faults.Harness) (dispatch.Session, error) {
+	var job gridJob[A]
+	if err := json.Unmarshal(spec, &job); err != nil {
+		return dispatch.Session{}, fmt.Errorf("%s job: %w", k.name, err)
+	}
+	if h == nil && job.HarnessSpec != "" {
 		plan, err := faults.Parse(job.HarnessSpec)
 		if err != nil {
-			return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
+			return dispatch.Session{}, fmt.Errorf("%s job: %w", k.name, err)
 		}
 		h = plan.NewHarness()
 	}
-	return newSweepSession(job, h)
-}
-
-// NewSweepSessionHarness is NewSweepSession with a caller-supplied
-// harness (ignoring the job's spec) — in-process workers share one
-// harness so planned faults count attempts globally and fire
-// deterministically, the shape the chaos invariants assert.
-func NewSweepSessionHarness(spec json.RawMessage, h *faults.Harness) (dispatch.Session, error) {
-	var job SweepJob
-	if err := json.Unmarshal(spec, &job); err != nil {
-		return dispatch.Session{}, fmt.Errorf("sweep job: %w", err)
-	}
-	return newSweepSession(job, h)
-}
-
-func newSweepSession(job SweepJob, h *faults.Harness) (dispatch.Session, error) {
-	prep, err := sweepPrep(job.Axes, SweepOptions{})
+	p, err := k.prep(job.Axes, SweepOptions{})
 	if err != nil {
 		return dispatch.Session{}, err
 	}
-	if fp := prep.axes.Fingerprint(); fp != job.Fingerprint {
+	if fp := k.fingerprint(p.axes); fp != job.Fingerprint {
 		return dispatch.Session{}, fmt.Errorf(
-			"sweep job: grid fingerprint mismatch (coordinator %.12s…, worker %.12s…): worker binary expands a different grid — version skew",
-			job.Fingerprint, fp)
+			"%s job: grid fingerprint mismatch (coordinator %.12s…, worker %.12s…): worker binary expands a different grid — version skew",
+			k.name, job.Fingerprint, fp)
 	}
-	cells, ovs, bits := prep.cells, prep.ovs, prep.axes.Bits
 	run := func(ctx context.Context, cell int) (json.RawMessage, error) {
-		if cell < 0 || cell >= len(cells) {
-			return nil, fmt.Errorf("leased cell %d outside grid of %d", cell, len(cells))
+		if cell < 0 || cell >= len(p.cells) {
+			return nil, fmt.Errorf("leased cell %d outside grid of %d", cell, len(p.cells))
 		}
-		c := cells[cell]
-		trial := h.WrapTrial(c.Index, func() (any, error) {
-			return runSweepCell(c, bits, ovs)
+		c := p.cells[cell]
+		trial := h.WrapTrial(cell, func() (any, error) {
+			return k.runCell(p.axes, c, p.ovs)
 		})
 		// One lease is one attempt: run it under the same single-attempt
 		// deadline machinery the in-process pool uses, so stalls and
@@ -107,24 +108,17 @@ func newSweepSession(job SweepJob, h *faults.Harness) (dispatch.Session, error) 
 		if errs[0] != nil {
 			return nil, attemptCause(errs[0])
 		}
-		payload, err := json.Marshal(res[0].(SweepRow))
-		if err != nil {
-			return nil, err
-		}
-		return payload, nil
+		return json.Marshal(res[0].(R))
 	}
 	return dispatch.Session{Run: run, Drop: func(cell int) bool {
-		if cell < 0 || cell >= len(cells) {
-			return false
-		}
-		return h.Disconnect(cells[cell].Index)
+		return cell >= 0 && cell < len(p.cells) && h.Disconnect(cell)
 	}}, nil
 }
 
 // attemptCause strips the runner's TrialError envelope so the attempt
-// error the coordinator records is the same string settledRow would put
-// in a single-process row ("trial N:" prefixes depend on pool slot
-// numbering and must not leak into results).
+// error the coordinator records is the same string settle would put in
+// an in-process row ("trial N:" prefixes depend on pool slot numbering
+// and must not leak into results).
 func attemptCause(err error) error {
 	var te *runner.TrialError
 	if errors.As(err, &te) && te.Err != nil {
@@ -134,13 +128,13 @@ func attemptCause(err error) error {
 }
 
 // DispatchOptions configures the coordinator side of a distributed
-// sweep, on top of the usual SweepOptions.
+// grid, on top of the usual SweepOptions.
 type DispatchOptions struct {
 	// LeaseTimeout is how long a worker may stay silent before its
 	// leases revoke; <= 0 selects the dispatch default (10s).
 	LeaseTimeout time.Duration
 	// HarnessSpec is shipped to workers inside the job (see
-	// SweepJob.HarnessSpec).
+	// gridJob.HarnessSpec).
 	HarnessSpec string
 	// Token is the shared-secret auth for the worker listener; workers
 	// not presenting it are refused (dispatch.Options.Token).
@@ -161,57 +155,55 @@ type DispatchOptions struct {
 	// OnRow, when non-nil, observes every row of the final output as it
 	// becomes known: rows settled before dispatch (checkpoint- or
 	// cache-served, cached=true) in grid order up front, then each
-	// live-computed row (cached=false) in completion order.
-	OnRow func(row SweepRow, cached bool)
+	// live-computed row (cached=false) in completion order. The row is
+	// the engine's row type: a SweepRow or a HuntRow.
+	OnRow func(row any, cached bool)
 }
 
-// SweepDispatch runs the grid distributed: it accepts workers on ln,
-// deals pending cells via work-stealing leases, re-leases cells from
-// dead workers (each revocation consuming one attempt of the cell's
+// dispatch runs the grid distributed: it accepts workers on ln, deals
+// pending cells via work-stealing leases, re-leases cells from dead
+// workers (each revocation consuming one attempt of the cell's
 // 1+Retries budget, exactly like a failed in-process attempt), streams
-// settled rows into the checkpoint, and returns rows in grid order —
-// byte-identical to SweepOpts with the same axes and policy. Of opts,
-// Workers and Backoff are ignored (concurrency is however many workers
-// attach; there is no inter-lease pause) and Faults only drives the
-// checkpoint tamper hook — worker-side faults travel via
-// dopts.HarnessSpec.
-func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, ln net.Listener) ([]SweepRow, error) {
-	prep, err := sweepPrep(axes, opts)
+// settled rows into the checkpoint and the cache, and returns rows in
+// grid order — byte-identical to runGrid with the same axes and
+// policy. Of opts, Workers and Backoff are ignored (concurrency is
+// however many workers attach; there is no inter-lease pause) and
+// Faults only drives the checkpoint tamper hook — worker-side faults
+// travel via dopts.HarnessSpec.
+func (k *gridKind[A, C, R]) dispatch(ctx context.Context, axes A, opts SweepOptions, dopts DispatchOptions, ln net.Listener) ([]R, error) {
+	p, err := k.prep(axes, opts)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if prep.cp != nil {
-		defer prep.cp.Close()
-	}
+	defer p.close()
 
-	// Content-addressed cache: serve pending cells some earlier sweep
+	// Content-addressed cache: serve pending cells some earlier grid
 	// (any grid, any client) already computed. Served rows join the
 	// checkpoint so a later resume of this grid no longer needs the
 	// cache.
 	if dopts.Cache != nil {
-		kept := prep.pending[:0]
-		for _, i := range prep.pending {
-			key := CellFingerprint(prep.cells[i], prep.axes.Bits, prep.axes.Set)
-			row, ok := dopts.Cache.Get(key)
+		kept := p.pending[:0]
+		for _, i := range p.pending {
+			key := k.cacheKey(p.axes, p.cells[i])
+			row, ok := k.cached(dopts.Cache, key, i)
 			if !ok {
 				kept = append(kept, i)
 				continue
 			}
-			row.SweepCell = prep.cells[i] // re-stamp the grid index; the key covers every other field
-			prep.done[i] = row
+			p.done[i] = row
 			if opts.Log != nil {
-				opts.Log("sweep: cell %d served from cache (%.12s…)", i, key)
+				opts.Log("%s: cell %d served from cache (%.12s…)", k.name, i, key)
 			}
-			if prep.cp != nil {
-				prep.cp.Append(row)
+			if p.cp != nil {
+				p.cp.Append(row)
 			}
 		}
-		prep.pending = kept
+		p.pending = kept
 	}
 	if dopts.OnRow != nil {
-		for i := range prep.cells {
-			if row, ok := prep.done[i]; ok {
+		for i := range p.cells {
+			if row, ok := p.done[i]; ok {
 				dopts.OnRow(row, true)
 			}
 		}
@@ -219,36 +211,25 @@ func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts
 
 	// Fully satisfied without computing: skip the coordinator entirely —
 	// a resubmitted spec completes even with zero workers attached.
-	if len(prep.pending) == 0 {
+	if len(p.pending) == 0 {
 		ln.Close()
-		rows := make([]SweepRow, 0, len(prep.cells))
-		for i := range prep.cells {
-			rows = append(rows, prep.done[i])
-		}
-		if prep.cp != nil {
-			if err := prep.cp.Err(); err != nil {
-				return rows, err
-			}
-		}
-		return rows, nil
+		return p.rows(ctx, nil, nil)
 	}
 
-	job := SweepJob{
-		Kind:        "sweep",
-		Axes:        prep.axes,
-		Fingerprint: prep.axes.Fingerprint(),
+	spec, err := json.Marshal(gridJob[A]{
+		Kind:        k.name,
+		Axes:        p.axes,
+		Fingerprint: k.fingerprint(p.axes),
 		Timeout:     opts.Timeout,
 		HarnessSpec: dopts.HarnessSpec,
-	}
-	spec, err := json.Marshal(job)
+	})
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
 
 	retries := opts.Retries
-	cells := prep.cells
-	co := dispatch.NewCoordinator(spec, prep.pending, dispatch.Options{
+	co := dispatch.NewCoordinator(spec, p.pending, dispatch.Options{
 		LeaseTimeout: dopts.LeaseTimeout,
 		MaxLeases:    1 + retries,
 		Token:        dopts.Token,
@@ -256,18 +237,18 @@ func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts
 		RetryBackoff: dopts.RetryBackoff,
 		Log:          opts.Log,
 		OnSettled: func(cell int, s dispatch.Settled) {
-			if prep.cp == nil && dopts.Cache == nil && dopts.OnRow == nil {
+			if p.cp == nil && dopts.Cache == nil && dopts.OnRow == nil {
 				return
 			}
-			row, ok := dispatchRow(cells[cell], s, retries)
+			row, ok := k.settleDispatched(p.cells[cell], s, retries)
 			if !ok {
 				return
 			}
-			if prep.cp != nil {
-				prep.cp.Append(row)
+			if p.cp != nil {
+				p.cp.Append(row)
 			}
 			if dopts.Cache != nil {
-				dopts.Cache.Put(CellFingerprint(row.SweepCell, prep.axes.Bits, prep.axes.Set), row)
+				k.cache(dopts.Cache, k.cacheKey(p.axes, p.cells[cell]), row)
 			}
 			if dopts.OnRow != nil {
 				dopts.OnRow(row, false)
@@ -275,46 +256,81 @@ func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts
 		},
 	})
 	settled, runErr := co.Run(ctx, ln)
-
-	rows := make([]SweepRow, 0, len(cells))
-	interrupted := false
-	for i := range cells {
-		if row, ok := prep.done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
+	return p.rows(ctx, runErr, func(i int) (R, bool) {
 		s, ok := settled[i]
 		if !ok {
-			interrupted = true
-			continue
+			var zero R
+			return zero, false
 		}
-		if row, ok := dispatchRow(cells[i], s, retries); ok {
-			rows = append(rows, row)
-		} else {
-			interrupted = true
+		return k.settleDispatched(p.cells[i], s, retries)
+	})
+}
+
+// cached returns the row the cache holds under key, re-stamped with
+// grid index i; an entry that does not decode is a miss.
+func (k *gridKind[A, C, R]) cached(rc *ResultCache, key string, i int) (R, bool) {
+	var row R
+	raw, ok := rc.Get(key)
+	if !ok || json.Unmarshal(raw, &row) != nil {
+		return row, false
+	}
+	return k.reindex(row, i), true
+}
+
+// cache adds row to the result cache under key with its grid index
+// zeroed (the key is grid-independent). Failed rows are never cached: a
+// failure may be transient, and a later grid deserves its retry.
+func (k *gridKind[A, C, R]) cache(rc *ResultCache, key string, row R) {
+	if k.errOf(row) == "" {
+		rc.Put(key, k.reindex(row, 0))
+	}
+}
+
+// settleDispatched converts one settled dispatch outcome into a row,
+// mirroring settle byte for byte: a failed cell's Err joins every
+// attempt's error with newlines (the same rendering errors.Join gives
+// the in-process pool), and Attempts/Quarantined only appear under a
+// retry policy.
+func (k *gridKind[A, C, R]) settleDispatched(c C, s dispatch.Settled, retries int) (R, bool) {
+	var row R
+	switch {
+	case s.Err == "":
+		err := json.Unmarshal(s.Payload, &row)
+		if err == nil {
+			return row, true
 		}
+		s.Err = fmt.Sprintf("undecodable result payload: %v", err)
+	case strings.Contains(s.Err, "context canceled") && len(s.Errs) == 1:
+		// A worker caught the cancellation before the coordinator did:
+		// not a measurement, not a failure — the cell simply didn't run.
+		return row, false
 	}
-	if prep.cp != nil {
-		if err := prep.cp.Err(); err != nil {
-			return rows, err
-		}
+	if retries > 0 {
+		return k.failed(c, s.Err, s.Attempts, true), true
 	}
-	if runErr != nil {
-		return rows, runErr
+	return k.failed(c, s.Err, 0, false), true
+}
+
+// localWorker is an in-process dispatch worker for this kind, sharing
+// harness h (see session).
+func (k *gridKind[A, C, R]) localWorker(id, token string, h *faults.Harness) *dispatch.Worker {
+	return &dispatch.Worker{
+		ID:        id,
+		Heartbeat: 50 * time.Millisecond,
+		Token:     token,
+		Init: func(spec json.RawMessage) (dispatch.Session, error) {
+			return k.session(spec, h)
+		},
 	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
 }
 
 // runLocalDispatch is the in-process distributed path the chaos driver
-// and tests use: SweepDispatch with n worker goroutines attached over
+// and tests use: dispatch with n worker goroutines attached over
 // loopback TCP, all sharing one fault harness so planned worker faults
 // (disconnect above all) count attempts globally and fire
 // deterministically. Subprocess workers (`metaleak worker`) go through
-// NewSweepSession instead.
-func runLocalDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, n int, h *faults.Harness) ([]SweepRow, error) {
+// NewJobSession instead.
+func (k *gridKind[A, C, R]) runLocalDispatch(ctx context.Context, axes A, opts SweepOptions, dopts DispatchOptions, n int, h *faults.Harness) ([]R, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -322,13 +338,7 @@ func runLocalDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, do
 	addr := ln.Addr().String()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		w := &dispatch.Worker{
-			ID:        fmt.Sprintf("local-%d", i),
-			Heartbeat: 50 * time.Millisecond,
-			Init: func(spec json.RawMessage) (dispatch.Session, error) {
-				return NewSweepSessionHarness(spec, h)
-			},
-		}
+		w := k.localWorker(fmt.Sprintf("local-%d", i), dopts.Token, h)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -339,7 +349,7 @@ func runLocalDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, do
 			w.Run(ctx, conn)
 		}()
 	}
-	rows, err := SweepDispatch(ctx, axes, opts, dopts, ln)
+	rows, err := k.dispatch(ctx, axes, opts, dopts, ln)
 	wg.Wait()
 	return rows, err
 }
@@ -351,7 +361,7 @@ func runLocalDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, do
 // Paired with dopts.Revive on the coordinator it is the in-process
 // model of `metaleak serve`'s fleet: a flapping run converges to the
 // clean rows with zero quarantined cells.
-func runSupervisedDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, n int, h *faults.Harness) ([]SweepRow, error) {
+func (k *gridKind[A, C, R]) runSupervisedDispatch(ctx context.Context, axes A, opts SweepOptions, dopts DispatchOptions, n int, h *faults.Harness) ([]R, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -364,14 +374,7 @@ func runSupervisedDispatch(ctx context.Context, axes SweepAxes, opts SweepOption
 		Backoff: runner.ExpBackoff(time.Millisecond),
 		Log:     opts.Log,
 		Start: func(ctx context.Context, slot, attempt int) error {
-			w := &dispatch.Worker{
-				ID:        fmt.Sprintf("sup-%d-%d", slot, attempt),
-				Heartbeat: 50 * time.Millisecond,
-				Token:     dopts.Token,
-				Init: func(spec json.RawMessage) (dispatch.Session, error) {
-					return NewSweepSessionHarness(spec, h)
-				},
-			}
+			w := k.localWorker(fmt.Sprintf("sup-%d-%d", slot, attempt), dopts.Token, h)
 			conn, err := dispatch.DialRetry(ctx, addr, 5, runner.ExpBackoff(5*time.Millisecond))
 			if err != nil {
 				return err
@@ -381,41 +384,10 @@ func runSupervisedDispatch(ctx context.Context, axes SweepAxes, opts SweepOption
 	}
 	supDone := make(chan error, 1)
 	go func() { supDone <- sup.Run(fctx) }()
-	rows, err := SweepDispatch(ctx, axes, opts, dopts, ln)
+	rows, err := k.dispatch(ctx, axes, opts, dopts, ln)
 	fcancel() // release slots mid-respawn; drained slots already exited
 	if serr := <-supDone; serr != nil && err == nil {
 		err = serr
 	}
 	return rows, err
-}
-
-// dispatchRow converts one settled dispatch outcome into a row,
-// mirroring settledRow byte for byte: a failed cell's Err joins every
-// attempt's error with newlines (the same rendering errors.Join gives
-// the in-process pool), and Attempts/Quarantined only appear under a
-// retry policy.
-func dispatchRow(c SweepCell, s dispatch.Settled, retries int) (SweepRow, bool) {
-	if s.Err == "" {
-		var row SweepRow
-		if err := json.Unmarshal(s.Payload, &row); err != nil {
-			row = SweepRow{SweepCell: c, Err: fmt.Sprintf("undecodable result payload: %v", err)}
-			if retries > 0 {
-				row.Attempts = s.Attempts
-				row.Quarantined = true
-			}
-			return row, true
-		}
-		return row, true
-	}
-	if strings.Contains(s.Err, "context canceled") && len(s.Errs) == 1 {
-		// A worker caught the cancellation before the coordinator did:
-		// not a measurement, not a failure — the cell simply didn't run.
-		return SweepRow{}, false
-	}
-	row := SweepRow{SweepCell: c, Err: s.Err}
-	if retries > 0 {
-		row.Attempts = s.Attempts
-		row.Quarantined = true
-	}
-	return row, true
 }

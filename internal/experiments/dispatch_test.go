@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestDispatchByteIdentical(t *testing.T) {
 		want := renderAll(t, baseline)
 
 		for _, workers := range []int{1, 4} {
-			rows, err := runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{}, workers, nil)
+			rows, err := sweepKind.runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{}, workers, nil)
 			if err != nil {
 				t.Fatalf("%s: %d-worker run: %v", name, workers, err)
 			}
@@ -104,7 +105,7 @@ func TestDispatchByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, plan.NewHarness())
+		rows, err := sweepKind.runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 4, plan.NewHarness())
 		if err != nil {
 			t.Fatalf("%s: kill-mid-run run: %v", name, err)
 		}
@@ -133,27 +134,33 @@ func firstDiff(want, got string) string {
 // attempt errors, attempt count, quarantine flag — with the fixed
 // disconnect message (no worker IDs, no timing).
 func TestDispatchQuarantinedRowMatchesInProcess(t *testing.T) {
+	forKinds(t, checkDispatchQuarantine, checkDispatchQuarantine)
+}
+
+func checkDispatchQuarantine[A any, C comparable, R interface{ CSVRecord() []string }](t *testing.T, kc kindCase[A, C, R]) {
 	ctx := context.Background()
-	axes := tinyAxes()
-	axes.Set = []string{"FastCrypto=true"}
 	plan, err := faults.Parse("harness:disconnect@1x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := runLocalDispatch(ctx, axes, SweepOptions{Retries: 1}, DispatchOptions{}, 3, plan.NewHarness())
+	want := kc.run(t, kc.axes, SweepOptions{Workers: 2})
+	rows, err := kc.k.runLocalDispatch(ctx, kc.axes, SweepOptions{Retries: 1}, DispatchOptions{}, 3, plan.NewHarness())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(want))
 	}
-	q := rows[1]
 	wantErr := dispatch.DisconnectErr + "\n" + dispatch.DisconnectErr
-	if !q.Quarantined || q.Attempts != 2 || q.Err != wantErr {
-		t.Fatalf("quarantined row = %+v\nwant Quarantined, 2 attempts, Err %q", q, wantErr)
+	if q := kc.k.failed(kc.k.cellOf(want[1]), wantErr, 2, true); !reflect.DeepEqual(rows[1], q) {
+		t.Fatalf("quarantined row = %+v\nwant %+v", rows[1], q)
 	}
-	if rec := q.CSVRecord(); rec[len(rec)-1] != "true" || rec[len(rec)-2] != "2" {
+	if rec := rows[1].CSVRecord(); rec[len(rec)-1] != "true" || rec[len(rec)-2] != "2" {
 		t.Fatalf("quarantine did not reach the CSV rendering: %v", rec)
+	}
+	want[1] = rows[1]
+	if err := rowsIdentical(want, rows); err != nil {
+		t.Fatalf("quarantine perturbed other rows: %v", err)
 	}
 }
 
@@ -162,11 +169,11 @@ func TestDispatchQuarantinedRowMatchesInProcess(t *testing.T) {
 // job instead of contributing wrong rows.
 func TestDispatchVersionSkewRefused(t *testing.T) {
 	axes := tinyAxes()
-	spec, err := json.Marshal(SweepJob{Axes: axes, Fingerprint: "not-the-real-fingerprint"})
+	spec, err := json.Marshal(gridJob[SweepAxes]{Axes: axes, Fingerprint: "not-the-real-fingerprint"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSweepSession(spec); err == nil || !strings.Contains(err.Error(), "version skew") {
+	if _, err := NewJobSession(spec); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("skewed job error = %v, want version-skew refusal", err)
 	}
 }

@@ -24,7 +24,7 @@ func huntTestAxes() HuntAxes {
 // -par worker count.
 func TestHuntWorkerCountInvariant(t *testing.T) {
 	axes := huntTestAxes()
-	base, err := Hunt(context.Background(), axes, 1)
+	base, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestHuntWorkerCountInvariant(t *testing.T) {
 		t.Fatal("no cell diverged — the fuzzer found nothing on leaky baselines")
 	}
 	for _, workers := range []int{2, 7} {
-		rows, err := Hunt(context.Background(), axes, workers)
+		rows, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestHuntCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hunt.ckpt")
 
-	full, err := Hunt(context.Background(), axes, 2)
+	full, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestHuntCheckpointResume(t *testing.T) {
 
 	other := axes
 	other.Seed++
-	if _, err := OpenHuntCheckpoint(path, other); err == nil {
+	if _, err := openCheckpoint(huntKind, path, other); err == nil {
 		t.Fatal("checkpoint from different axes accepted")
 	}
-	if _, err := OpenCheckpoint(path, DefaultSweepAxes()); err == nil {
+	if _, err := openCheckpoint(sweepKind, path, DefaultSweepAxes()); err == nil {
 		t.Fatal("hunt checkpoint accepted as a sweep checkpoint")
 	}
 }
@@ -99,12 +99,12 @@ func TestHuntCheckpointResume(t *testing.T) {
 // uses.
 func TestHuntDispatchByteIdentical(t *testing.T) {
 	axes := huntTestAxes()
-	want, err := Hunt(context.Background(), axes, 4)
+	want, err := HuntOpts(context.Background(), axes, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 3} {
-		rows, err := runLocalHuntDispatch(context.Background(), axes, SweepOptions{}, DispatchOptions{}, n)
+		rows, err := huntKind.runLocalDispatch(context.Background(), axes, SweepOptions{}, DispatchOptions{}, n, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}
@@ -117,7 +117,7 @@ func TestHuntDispatchByteIdentical(t *testing.T) {
 // TestJobSessionRouting: NewJobSession accepts tagged hunt and sweep
 // jobs plus legacy untagged sweep jobs, and refuses unknown kinds.
 func TestJobSessionRouting(t *testing.T) {
-	sweepSpec, err := json.Marshal(SweepJob{
+	sweepSpec, err := json.Marshal(gridJob[SweepAxes]{
 		Kind: "sweep", Axes: DefaultSweepAxes().normalized(),
 		Fingerprint: DefaultSweepAxes().Fingerprint(),
 	})
@@ -128,7 +128,7 @@ func TestJobSessionRouting(t *testing.T) {
 		t.Fatalf("tagged sweep job: %v", err)
 	}
 
-	legacy, err := json.Marshal(SweepJob{
+	legacy, err := json.Marshal(gridJob[SweepAxes]{
 		Axes:        DefaultSweepAxes().normalized(),
 		Fingerprint: DefaultSweepAxes().Fingerprint(),
 	})
@@ -140,7 +140,7 @@ func TestJobSessionRouting(t *testing.T) {
 	}
 
 	ha := huntTestAxes()
-	huntSpec, err := json.Marshal(HuntJob{Kind: "hunt", Axes: ha, Fingerprint: ha.Fingerprint()})
+	huntSpec, err := json.Marshal(gridJob[HuntAxes]{Kind: "hunt", Axes: ha, Fingerprint: ha.Fingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestJobSessionRouting(t *testing.T) {
 	// Version skew: a worker expanding a different grid refuses the job.
 	skew := ha
 	skew.Programs++
-	skewSpec, err := json.Marshal(HuntJob{Kind: "hunt", Axes: skew, Fingerprint: ha.Fingerprint()})
+	skewSpec, err := json.Marshal(gridJob[HuntAxes]{Kind: "hunt", Axes: skew, Fingerprint: ha.Fingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,46 +3,31 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"sync"
 )
 
 // The result cache is the content-addressed half of the sweep service:
 // one completed cell's row, keyed by everything that determines it and
-// nothing that doesn't. A sweep checkpoint is keyed by the whole grid's
+// nothing that doesn't. A checkpoint is keyed by the whole grid's
 // fingerprint, so it only ever serves an exact resubmission; the cell
 // cache is keyed per cell, so *overlapping* grids — the same design
 // points swept again with more reps, or submitted by a different client
-// — reuse every cell they share and compute only the new ones. The file
-// layout deliberately mirrors the checkpoint: JSONL with a header line,
+// — reuse every cell they share and compute only the new ones. The
+// cache stores each row's JSON as is; the grid kind that owns the key
+// (SweepAxes' CellFingerprint, a hunt cell's key) encodes and decodes
+// it. The file layout is the checkpoint's: JSONL with a header line,
 // O(1) appends, and the crash signature confined to one torn trailing
 // line that load salvages away.
 
 // cellCacheFormat identifies the cache file layout; bump on changes.
 const cellCacheFormat = "metaleak-cellcache/v1"
 
-// CellFingerprint is the content address of one sweep cell's result: a
-// hash of the cell's full identity — config, axis values, rep, and the
-// derived machine seed — plus the per-cell bit budget and the
-// design-point overrides, and *not* the cell's grid index. Everything
-// runSweepCell reads is covered, so equal fingerprints compute
-// byte-identical rows; the index is excluded, so the same design point
-// at the same derived seed hashes equally wherever it lands in a grid.
-func CellFingerprint(c SweepCell, bits int, set []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cell/v1 %s %s %d %d %d %d bits=%d set=%q\n",
-		c.Config, c.MinorLabel(), c.MetaKB, c.Noise, c.Rep, c.Seed, bits, set)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 type cacheEntry struct {
 	Key string
-	Row SweepRow
+	Row json.RawMessage
 }
 
 // ResultCache is a content-addressed store of completed cell rows,
@@ -58,16 +43,15 @@ type cacheEntry struct {
 // either the old complete file or the new complete file, never a mix.
 type ResultCache struct {
 	mu        sync.Mutex
-	rows      map[string]SweepRow
+	rows      map[string]json.RawMessage
 	order     []string         // insertion order, oldest first; eviction order
 	sizes     map[string]int64 // canonical per-entry footprint (line + '\n')
 	bytes     int64            // canonical footprint: header + all entry lines
 	maxBytes  int64            // GC threshold; 0 = unbounded
 	evictions int
-	path      string
-	f         *os.File // lazily opened append handle
-	discarded string   // torn trailing line salvaged away at open
-	err       error    // first persistence failure; appends stop after it
+	out       jsonlFile // path "" = memory-only
+	discarded string    // torn trailing line salvaged away at open
+	err       error     // first persistence failure; appends stop after it
 }
 
 // OpenResultCache opens (or starts) a persisted result cache at path,
@@ -86,70 +70,44 @@ func OpenResultCache(path string) (*ResultCache, error) {
 // unbounded), the oldest entries are evicted until it fits and the file
 // is compacted. An inherited over-cap file is trimmed at open.
 func OpenResultCacheCap(path string, maxBytes int64) (*ResultCache, error) {
-	rc := &ResultCache{rows: map[string]SweepRow{}, sizes: map[string]int64{}, path: path, maxBytes: maxBytes}
 	hdrLine, err := json.Marshal(struct{ Format string }{cellCacheFormat})
 	if err != nil {
 		return nil, err
 	}
-	rc.bytes = int64(len(hdrLine)) + 1
+	rc := &ResultCache{
+		rows:     map[string]json.RawMessage{},
+		sizes:    map[string]int64{},
+		bytes:    int64(len(hdrLine)) + 1,
+		maxBytes: maxBytes,
+		out:      jsonlFile{path: path, what: "result cache", header: hdrLine},
+	}
 	if path == "" {
 		return rc, nil
 	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0) {
-		return rc, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("result cache %s: %w", path, err)
-	}
-
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// A single torn line: a crash before the header's append
-		// completed. Nothing salvageable, nothing lost — start fresh.
-		rc.discarded = string(data)
-		if err := os.Truncate(path, 0); err != nil {
-			return nil, fmt.Errorf("result cache %s: cutting torn header: %w", path, err)
+	rc.discarded, err = readJSONL(path, "result cache", func(line []byte) error {
+		var hdr struct{ Format string }
+		if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != cellCacheFormat {
+			return fmt.Errorf("not a %s file", cellCacheFormat)
 		}
-		return rc, nil
-	}
-	var hdr struct{ Format string }
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil || hdr.Format != cellCacheFormat {
-		return nil, fmt.Errorf("result cache %s: not a %s file", path, cellCacheFormat)
-	}
-
-	off := nl + 1
-	rest := data[off:]
-	for line := 2; len(rest) > 0; line++ {
-		idx := bytes.IndexByte(rest, '\n')
-		if idx < 0 {
-			// Torn trailing line: the crash signature. Salvage everything
-			// before it and cut the tear off so appends resume cleanly.
-			rc.discarded = string(rest)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("result cache %s: cutting torn line: %w", path, err)
-			}
-			break
-		}
-		seg := rest[:idx]
-		off += idx + 1
-		rest = rest[idx+1:]
-		if len(bytes.TrimSpace(seg)) == 0 {
-			continue
-		}
+		return nil
+	}, func(line []byte) error {
 		var e cacheEntry
-		if err := json.Unmarshal(seg, &e); err != nil {
-			return nil, fmt.Errorf("result cache %s: line %d: %w", path, line, err)
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
 		}
 		if len(e.Key) != sha256.Size*2 {
-			return nil, fmt.Errorf("result cache %s: line %d: malformed key %q", path, line, e.Key)
+			return fmt.Errorf("malformed key %q", e.Key)
 		}
-		if e.Row.Err != "" {
-			return nil, fmt.Errorf("result cache %s: line %d: cached row carries an error (%q) — only clean measurements belong here", path, line, e.Row.Err)
+		var status struct{ Err string }
+		if err := json.Unmarshal(e.Row, &status); err != nil {
+			return err
+		}
+		if status.Err != "" {
+			return fmt.Errorf("cached row carries an error (%q) — only clean measurements belong here", status.Err)
 		}
 		canon, err := json.Marshal(e)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if old, ok := rc.sizes[e.Key]; ok {
 			// Duplicates allowed, last wins — and the later line is the
@@ -166,6 +124,10 @@ func OpenResultCacheCap(path string, maxBytes int64) (*ResultCache, error) {
 		rc.sizes[e.Key] = int64(len(canon)) + 1
 		rc.bytes += rc.sizes[e.Key]
 		rc.order = append(rc.order, e.Key)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// An inherited file over the cap trims immediately, so a restarted
 	// service with a lowered cap converges without waiting for traffic.
@@ -175,46 +137,46 @@ func OpenResultCacheCap(path string, maxBytes int64) (*ResultCache, error) {
 	return rc, nil
 }
 
-// Get returns the cached row for a cell fingerprint. The returned row's
-// grid index is meaningless (normalized to 0 on Put): the caller
-// re-stamps row.SweepCell with its own grid's cell, which the key
-// guarantees is identical in every field the measurement depends on.
-func (rc *ResultCache) Get(key string) (SweepRow, bool) {
+// Get returns the JSON of the row cached under a cell key. Its grid
+// index is meaningless (normalized to 0 when it was put): the caller
+// decodes it and re-stamps its own grid's index, which the key
+// guarantees is the only field that can differ.
+func (rc *ResultCache) Get(key string) (json.RawMessage, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	row, ok := rc.rows[key]
 	return row, ok
 }
 
-// Put records one completed cell. Rows carrying an error are ignored
-// (a failure may be transient; never serve it from cache), as are keys
-// already present (re-running a cached grid must not grow the file).
-// Under a byte cap, an insert that pushes the footprint over it evicts
-// the oldest entries and compacts the file.
-func (rc *ResultCache) Put(key string, row SweepRow) {
-	if row.Err != "" {
-		return
-	}
-	row.Index = 0 // grid-dependent; the key is grid-independent
+// Put records one completed cell's row, stored as its JSON. Callers put
+// only clean measurements with the grid index zeroed (a failure may be
+// transient; never serve it from cache). Keys already present are
+// ignored — re-running a cached grid must not grow the file. Under a
+// byte cap, an insert that pushes the footprint over it evicts the
+// oldest entries and compacts the file.
+func (rc *ResultCache) Put(key string, row any) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if _, ok := rc.rows[key]; ok {
 		return
 	}
-	e := cacheEntry{Key: key, Row: row}
-	line, err := json.Marshal(e)
+	raw, err := json.Marshal(row)
+	var line []byte
+	if err == nil {
+		line, err = json.Marshal(cacheEntry{Key: key, Row: raw})
+	}
 	if err != nil {
 		if rc.err == nil {
 			rc.err = err
 		}
 		return
 	}
-	rc.rows[key] = row
+	rc.rows[key] = raw
 	rc.sizes[key] = int64(len(line)) + 1
 	rc.bytes += rc.sizes[key]
 	rc.order = append(rc.order, key)
-	if rc.path != "" && rc.err == nil {
-		rc.err = rc.appendLocked(e)
+	if rc.out.path != "" && rc.err == nil {
+		rc.err = rc.out.append(line)
 	}
 	if err := rc.gcLocked(); err != nil && rc.err == nil {
 		rc.err = err
@@ -261,7 +223,7 @@ func (rc *ResultCache) gcLocked() error {
 		delete(rc.sizes, key)
 		rc.evictions++
 	}
-	if rc.path == "" || rc.err != nil {
+	if rc.out.path == "" || rc.err != nil {
 		return nil // memory-only, or persistence already failed
 	}
 	return rc.compactLocked()
@@ -275,11 +237,7 @@ func (rc *ResultCache) gcLocked() error {
 // compaction.
 func (rc *ResultCache) compactLocked() error {
 	var buf bytes.Buffer
-	hdr, err := json.Marshal(struct{ Format string }{cellCacheFormat})
-	if err != nil {
-		return err
-	}
-	buf.Write(hdr)
+	buf.Write(rc.out.header)
 	buf.WriteByte('\n')
 	for _, key := range rc.order {
 		line, err := json.Marshal(cacheEntry{Key: key, Row: rc.rows[key]})
@@ -289,16 +247,13 @@ func (rc *ResultCache) compactLocked() error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	tmp := rc.path + ".gc"
+	tmp := rc.out.path + ".gc"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("result cache %s: compacting: %w", rc.path, err)
+		return fmt.Errorf("result cache %s: compacting: %w", rc.out.path, err)
 	}
-	if rc.f != nil {
-		rc.f.Close()
-		rc.f = nil // next append reopens the compacted file
-	}
-	if err := os.Rename(tmp, rc.path); err != nil {
-		return fmt.Errorf("result cache %s: compacting: %w", rc.path, err)
+	rc.out.close() // the next append reopens the compacted file
+	if err := os.Rename(tmp, rc.out.path); err != nil {
+		return fmt.Errorf("result cache %s: compacting: %w", rc.out.path, err)
 	}
 	rc.bytes = int64(buf.Len())
 	return nil
@@ -327,48 +282,5 @@ func (rc *ResultCache) Err() error {
 func (rc *ResultCache) Close() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.f == nil {
-		return nil
-	}
-	err := rc.f.Close()
-	rc.f = nil
-	return err
-}
-
-// appendLocked writes one entry line, opening the file (and writing the
-// header) on first use. Lines are single Write calls ending in '\n', so
-// the only state a crash can leave behind is a torn final line — the
-// exact shape OpenResultCache knows how to salvage.
-func (rc *ResultCache) appendLocked(e cacheEntry) error {
-	if rc.f == nil {
-		f, err := os.OpenFile(rc.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("result cache %s: %w", rc.path, err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("result cache %s: %w", rc.path, err)
-		}
-		if st.Size() == 0 {
-			hdr, err := json.Marshal(struct{ Format string }{cellCacheFormat})
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := f.Write(append(hdr, '\n')); err != nil {
-				f.Close()
-				return fmt.Errorf("result cache %s: %w", rc.path, err)
-			}
-		}
-		rc.f = f
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := rc.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("result cache %s: %w", rc.path, err)
-	}
-	return nil
+	return rc.out.close()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,8 +53,9 @@ func TestCellFingerprintGridIndependent(t *testing.T) {
 	}
 }
 
-// TestResultCacheRoundTrip: Put/Get through a persisted file, reload
-// from disk, index normalization, and the refusal to cache failures.
+// TestResultCacheRoundTrip: a row cached and read back through the
+// engine's encoding, via a persisted file, reload from disk, index
+// normalization, and the refusal to cache failures.
 func TestResultCacheRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	rc, err := OpenResultCache(path)
@@ -62,17 +64,19 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 	row := sampleRow(3, 1)
 	key := CellFingerprint(row.SweepCell, 8, nil)
-	rc.Put(key, row)
+	sweepKind.cache(rc, key, row)
 
 	bad := sampleRow(9, 2)
 	bad.Err = "boom"
-	rc.Put(CellFingerprint(bad.SweepCell, 8, nil), bad)
+	sweepKind.cache(rc, CellFingerprint(bad.SweepCell, 8, nil), bad)
 	if rc.Len() != 1 {
 		t.Fatalf("cache holds %d rows, want 1 (failed row must not cache)", rc.Len())
 	}
-	got, ok := rc.Get(key)
-	if !ok || got.Index != 0 || got.Rep != 1 || got.CovertAccuracy != row.CovertAccuracy {
-		t.Fatalf("Get = (%+v, %v), want the put row with Index normalized to 0", got, ok)
+	if raw, _ := rc.Get(key); !strings.Contains(string(raw), `"Index":0,`) {
+		t.Fatalf("cached row %s does not have its index normalized to 0", raw)
+	}
+	if got, ok := sweepKind.cached(rc, key, 3); !ok || !reflect.DeepEqual(got, row) {
+		t.Fatalf("cached = (%+v, %v), want the put row re-stamped at index 3", got, ok)
 	}
 	if err := rc.Err(); err != nil {
 		t.Fatal(err)
@@ -90,10 +94,10 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	if rc2.Len() != 1 || rc2.Discarded() != "" {
 		t.Fatalf("reloaded cache: %d rows, discarded %q", rc2.Len(), rc2.Discarded())
 	}
-	if _, ok := rc2.Get(key); !ok {
-		t.Fatal("persisted row missing after reload")
+	if got, ok := sweepKind.cached(rc2, key, 3); !ok || !reflect.DeepEqual(got, row) {
+		t.Fatalf("persisted row after reload = (%+v, %v), want %+v", got, ok, row)
 	}
-	rc2.Put(key, row)
+	sweepKind.cache(rc2, key, row)
 	if mustSize(t, path) != before {
 		t.Error("re-putting a cached key grew the file")
 	}
@@ -143,12 +147,13 @@ func TestResultCacheSalvagesTornLine(t *testing.T) {
 	}
 }
 
-// TestDispatchCacheServesResubmission: end-to-end through
-// SweepDispatch — a populated cache serves an identical grid with zero
-// workers attached, and OnRow tells cached from computed rows.
+// TestDispatchCacheServesResubmission: end-to-end through the
+// dispatch path of each engine — a populated cache serves an identical
+// grid with zero workers attached, and OnRow tells cached from computed
+// rows, once per row.
 func TestDispatchCacheServesResubmission(t *testing.T) {
-	ctx := context.Background()
-	axes := SweepAxes{
+	sweep := sweepCase()
+	sweep.axes = SweepAxes{
 		Configs:   []string{"sct"},
 		MinorBits: []uint{7},
 		MetaKB:    []int{64},
@@ -158,32 +163,38 @@ func TestDispatchCacheServesResubmission(t *testing.T) {
 		Bits:      8,
 		Set:       []string{"SecurePages=16384", "FastCrypto=true"},
 	}
+	t.Run("sweep", func(t *testing.T) { checkCacheServesResubmission(t, sweep) })
+	t.Run("hunt", func(t *testing.T) { checkCacheServesResubmission(t, huntCase()) })
+}
+
+func checkCacheServesResubmission[A any, C comparable, R any](t *testing.T, kc kindCase[A, C, R]) {
+	ctx := context.Background()
 	cache, err := OpenResultCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := runLocalDispatch(ctx, axes, SweepOptions{}, DispatchOptions{Cache: cache}, 2, nil)
+	var cached, computed int
+	onRow := func(_ any, fromCache bool) {
+		if fromCache {
+			cached++
+		} else {
+			computed++
+		}
+	}
+	first, err := kc.k.runLocalDispatch(ctx, kc.axes, SweepOptions{}, DispatchOptions{Cache: cache, OnRow: onRow}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != len(first) {
-		t.Fatalf("cache holds %d cells, want %d", cache.Len(), len(first))
+	if cache.Len() != len(first) || cached != 0 || computed != len(first) {
+		t.Fatalf("first run: cache holds %d cells, OnRow saw %d cached + %d computed; want %d, 0 + %d",
+			cache.Len(), cached, computed, len(first), len(first))
 	}
 
-	var cached, computed int
+	cached, computed = 0, 0
 	var hits []string
-	again, err := runLocalDispatch(ctx, axes, SweepOptions{
+	again, err := kc.k.runLocalDispatch(ctx, kc.axes, SweepOptions{
 		Log: func(format string, args ...any) { hits = append(hits, format) },
-	}, DispatchOptions{
-		Cache: cache,
-		OnRow: func(_ SweepRow, fromCache bool) {
-			if fromCache {
-				cached++
-			} else {
-				computed++
-			}
-		},
-	}, 0, nil)
+	}, DispatchOptions{Cache: cache, OnRow: onRow}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

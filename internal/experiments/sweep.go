@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"context"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"net"
 	"strings"
-	"time"
 
 	"metaleak/internal/arch"
 	"metaleak/internal/core"
-	"metaleak/internal/faults"
 	"metaleak/internal/machine"
-	"metaleak/internal/runner"
 	"metaleak/internal/stats"
 )
 
@@ -195,7 +194,7 @@ func (a SweepAxes) Validate() error {
 // cell — expanding it would produce rows labeled as different minor
 // widths that ran identical machines.
 func (a SweepAxes) Cells() []SweepCell {
-	// Best-effort parse here: Sweep validates overrides up front;
+	// Best-effort parse here: the engine vets overrides up front;
 	// unknown configs stay fully expanded and fail per cell, in-row.
 	ovs, _ := machine.ParseOverrides(a.Set)
 	var cells []SweepCell
@@ -317,208 +316,89 @@ func runSweepCell(c SweepCell, bits int, ovs []machine.FieldOverride) (SweepRow,
 	return row, nil
 }
 
-// SweepOptions configures how a sweep executes — none of it changes
-// what the cells compute, only how failures and durability are handled,
-// so every option combination yields byte-identical rows for the cells
-// that succeed.
-type SweepOptions struct {
-	// Workers caps concurrent cells; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Checkpoint, when non-empty, persists completed rows to this file
-	// and resumes from it.
-	Checkpoint string
-	// Timeout bounds each cell attempt; 0 disables stall detection.
-	Timeout time.Duration
-	// Retries grants failed cells extra attempts; a cell that exhausts
-	// them is quarantined (reported in its row, excluded from resume's
-	// completed set so a later run retries it).
-	Retries int
-	// Backoff paces retry attempts; nil retries immediately.
-	Backoff func(attempt int) time.Duration
-	// Faults, when non-nil, injects the plan's harness-level failures:
-	// trial panics/stalls/errors by cell index, and checkpoint-file
-	// truncation. Machine-level faults do not go here — they travel as a
-	// FaultSpec design-point override in the axes, where they are part
-	// of the sweep's identity.
-	Faults *faults.Harness
-	// Log, when non-nil, receives human-readable warnings (e.g. a torn
-	// checkpoint line salvaged at resume). Results never depend on it.
-	Log func(format string, args ...any)
+// sweepKind is the sweep's grid-engine definition (grid.go).
+var sweepKind = &gridKind[SweepAxes, SweepCell, SweepRow]{
+	name:        "sweep",
+	format:      "metaleak-sweep-checkpoint/v1",
+	axesNames:   "configs, widths, sizes, noise, seeds, bits, or -set overrides",
+	normalize:   SweepAxes.normalized,
+	validate:    SweepAxes.Validate,
+	set:         func(a SweepAxes) []string { return a.Set },
+	cells:       SweepAxes.Cells,
+	fingerprint: SweepAxes.Fingerprint,
+	runCell: func(a SweepAxes, c SweepCell, ovs []machine.FieldOverride) (SweepRow, error) {
+		return runSweepCell(c, a.Bits, ovs)
+	},
+	index:  func(r SweepRow) int { return r.Index },
+	cellOf: func(r SweepRow) SweepCell { return r.SweepCell },
+	errOf:  func(r SweepRow) string { return r.Err },
+	failed: func(c SweepCell, err string, attempts int, quarantined bool) SweepRow {
+		return SweepRow{SweepCell: c, Err: err, Attempts: attempts, Quarantined: quarantined}
+	},
+	reindex:  func(r SweepRow, i int) SweepRow { r.Index = i; return r },
+	cacheKey: func(a SweepAxes, c SweepCell) string { return CellFingerprint(c, a.Bits, a.Set) },
 }
 
-// Sweep runs the whole grid with at most `workers` cells in flight and
-// returns one row per cell in grid order. Cell failures land in the
-// rows' Err fields. Cancellation mid-grid returns the rows of every
-// cell that did complete (still in grid order) alongside the context's
-// error — Ctrl-C near the end of a long sweep reports the finished
-// work instead of discarding it.
-func Sweep(ctx context.Context, axes SweepAxes, workers int) ([]SweepRow, error) {
-	return SweepOpts(ctx, axes, SweepOptions{Workers: workers})
+// normalized applies the defaults a sweep runs with, so fingerprints
+// agree with what actually runs.
+func (a SweepAxes) normalized() SweepAxes {
+	if a.Bits <= 0 {
+		a.Bits = DefaultSweepAxes().Bits
+	}
+	if a.Seeds <= 0 {
+		a.Seeds = 1
+	}
+	return a
 }
 
-// SweepCheckpointed is Sweep with durability: when checkpoint names a
-// file, every completed row is appended there as it finishes, and a
-// rerun with the same axes loads the file, skips the cells it already
-// holds, re-runs only missing or failed ones, and returns the merged
-// grid-order rows — byte-identical to an uninterrupted run. A
-// checkpoint written by different axes (detected by fingerprint) fails
-// loudly instead of merging unrelated grids.
-func SweepCheckpointed(ctx context.Context, axes SweepAxes, workers int, checkpoint string) ([]SweepRow, error) {
-	return SweepOpts(ctx, axes, SweepOptions{Workers: workers, Checkpoint: checkpoint})
+// Fingerprint identifies the sweep for checkpoint and dispatch
+// compatibility: a hash of the expanded cell list (config, axis labels,
+// reps, and derived per-cell seeds — so the base seed is covered
+// transitively), the per-cell bit budget, and the design-point
+// overrides — including any machine-level fault plan, which travels as
+// a FaultSpec override. Resuming with any other axes fails loudly
+// instead of silently merging rows from unrelated grids.
+func (a SweepAxes) Fingerprint() string {
+	a = a.normalized()
+	h := sha256.New()
+	fmt.Fprintf(h, "v1 seed=%d bits=%d set=%q\n", a.Seed, a.Bits, a.Set)
+	for _, c := range a.Cells() {
+		fmt.Fprintf(h, "%d %s %s %d %d %d %d\n",
+			c.Index, c.Config, c.MinorLabel(), c.MetaKB, c.Noise, c.Rep, c.Seed)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SweepOpts runs the grid under the full execution policy: bounded
-// per-cell deadlines, bounded retries with deterministic backoff, cell
-// quarantine, checkpoint durability with torn-line salvage, and
-// (under test) injected harness faults. The grid's results remain a
-// pure function of the axes: policy decides whether a cell's row is a
-// measurement or a quarantine report, never what the measurement is.
+// CellFingerprint is the content address of one sweep cell's result: a
+// hash of the cell's full identity — config, axis values, rep, and the
+// derived machine seed — plus the per-cell bit budget and the
+// design-point overrides, and *not* the cell's grid index. Everything
+// runSweepCell reads is covered, so equal fingerprints compute
+// byte-identical rows; the index is excluded, so the same design point
+// at the same derived seed hashes equally wherever it lands in a grid.
+func CellFingerprint(c SweepCell, bits int, set []string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "cell/v1 %s %s %d %d %d %d bits=%d set=%q\n",
+		c.Config, c.MinorLabel(), c.MetaKB, c.Noise, c.Rep, c.Seed, bits, set)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// SweepOpts runs the whole grid in process under the full execution
+// policy and returns one row per cell in grid order. Cell failures land
+// in the rows' Err fields. With opts.Checkpoint, every completed row is
+// appended to that file as it finishes, and a rerun with the same axes
+// re-runs only missing or failed cells — byte-identical to an
+// uninterrupted run. Cancellation mid-grid returns the rows of every
+// cell that did complete alongside the context's error.
 func SweepOpts(ctx context.Context, axes SweepAxes, opts SweepOptions) ([]SweepRow, error) {
-	prep, err := sweepPrep(axes, opts)
-	if err != nil {
-		return nil, err
-	}
-	axes, cells, cp, done := prep.axes, prep.cells, prep.cp, prep.done
-	ovs := prep.ovs
-	if cp != nil {
-		defer cp.Close()
-	}
-
-	pol := runner.Policy{
-		Workers: opts.Workers,
-		Timeout: opts.Timeout,
-		Retries: opts.Retries,
-		Backoff: opts.Backoff,
-	}
-	pending := prep.pending
-	trials := make([]runner.Trial, len(pending))
-	for ti, i := range pending {
-		c := cells[i]
-		// Harness faults target grid cell indices, not trial slots: the
-		// plan must hit the same cell whether or not a resume skipped
-		// earlier cells.
-		trials[ti] = opts.Faults.WrapTrial(c.Index, func() (any, error) {
-			return runSweepCell(c, axes.Bits, ovs)
-		})
-	}
-	var onDone func(int, any, error)
-	if cp != nil {
-		onDone = func(ti int, res any, err error) {
-			if row, ok := settledRow(cells[pending[ti]], res, err, pol); ok {
-				cp.Append(row)
-			}
-		}
-	}
-	parts, errs := runner.RunAllPolicy(ctx, trials, pol, onDone)
-
-	rows := make([]SweepRow, 0, len(cells))
-	interrupted := false
-	ti := 0
-	for i := range cells {
-		if row, ok := done[i]; ok {
-			rows = append(rows, row)
-			continue
-		}
-		row, ok := settledRow(cells[i], parts[ti], errs[ti], pol)
-		ti++
-		if !ok {
-			interrupted = true
-			continue
-		}
-		rows = append(rows, row)
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return rows, err
-		}
-	}
-	if interrupted {
-		return rows, ctx.Err()
-	}
-	return rows, nil
+	return sweepKind.runGrid(ctx, axes, opts)
 }
 
-// sweepPrep is the shared prologue of the single-process and
-// distributed sweep paths: normalize and validate the axes, parse and
-// vet the design-point overrides, expand the grid, and open the
-// checkpoint (loading already-completed rows). Callers own closing
-// prep.cp when non-nil.
-type sweepPrelude struct {
-	axes    SweepAxes
-	ovs     []machine.FieldOverride
-	cells   []SweepCell
-	cp      *Checkpoint
-	done    map[int]SweepRow
-	pending []int // grid indices still to run, ascending
-}
-
-func sweepPrep(axes SweepAxes, opts SweepOptions) (*sweepPrelude, error) {
-	axes = axes.normalized()
-	if err := axes.Validate(); err != nil {
-		return nil, err
-	}
-	ovs, err := machine.ParseOverrides(axes.Set)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	// Vet the overrides against a scratch design point up front, so a
-	// field typo fails the sweep once instead of failing every cell.
-	scratch := machine.ConfigSCT()
-	if err := machine.ApplyOverrides(&scratch, ovs); err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	prep := &sweepPrelude{axes: axes, ovs: ovs, cells: axes.Cells(), done: map[int]SweepRow{}}
-
-	if opts.Checkpoint != "" {
-		cp, err := OpenCheckpoint(opts.Checkpoint, axes)
-		if err != nil {
-			return nil, err
-		}
-		prep.cp = cp
-		if opts.Faults != nil {
-			cp.SetTamperer(opts.Faults.AfterAppend)
-		}
-		if d := cp.Discarded(); d != "" && opts.Log != nil {
-			opts.Log("checkpoint %s: discarded torn trailing line (%d bytes, crash mid-append); its cell will re-run", opts.Checkpoint, len(d))
-		}
-		prep.done = cp.Completed()
-	}
-	for i := range prep.cells {
-		if _, ok := prep.done[i]; !ok {
-			prep.pending = append(prep.pending, i)
-		}
-	}
-	return prep, nil
-}
-
-// settledRow converts one trial outcome into a row. Cells skipped by
-// cancellation report ok=false — they produced no result and must not
-// be recorded as failures (the pre-fix bug: ctx.Err() at collection
-// time discarded every completed row and disguised genuine failures).
-// Under a retry policy a failed cell's row is marked quarantined and
-// carries its attempt count; recovered cells (failed attempts followed
-// by a success) stay indistinguishable from clean ones — the retry is
-// execution machinery, not measurement.
-func settledRow(c SweepCell, res any, err error, pol runner.Policy) (SweepRow, bool) {
-	switch {
-	case err == nil:
-		return res.(SweepRow), true
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return SweepRow{}, false
-	default:
-		// Strip the runner's "trial N:" prefix: trial indices depend on
-		// how many cells a resume skipped, and the row must not.
-		row := SweepRow{SweepCell: c, Err: err.Error()}
-		var te *runner.TrialError
-		if errors.As(err, &te) {
-			row.Err = te.Err.Error()
-			if pol.Retries > 0 {
-				row.Attempts = te.Attempts
-				row.Quarantined = true
-			}
-		}
-		return row, true
-	}
+// SweepDispatch runs the grid distributed over the dispatch workers
+// attached to ln; its rows are byte-identical to SweepOpts' with the
+// same axes and policy (see gridKind.dispatch).
+func SweepDispatch(ctx context.Context, axes SweepAxes, opts SweepOptions, dopts DispatchOptions, ln net.Listener) ([]SweepRow, error) {
+	return sweepKind.dispatch(ctx, axes, opts, dopts, ln)
 }
 
 // SweepPoint aggregates one grid point's replications.

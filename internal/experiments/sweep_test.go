@@ -23,11 +23,11 @@ func tinyAxes() SweepAxes {
 
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	axes := tinyAxes()
-	seq, err := Sweep(context.Background(), axes, 1)
+	seq, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Sweep(context.Background(), axes, 4)
+	par, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSweepCellFailureIsolated(t *testing.T) {
 	axes.Configs = []string{"sct", "bogus"}
 	axes.MinorBits = []uint{7}
 	axes.Seeds = 1
-	rows, err := Sweep(context.Background(), axes, 2)
+	rows, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSweepRejectsNormalizedAxisValues(t *testing.T) {
 		if err := axes.Validate(); err == nil {
 			t.Fatalf("axes %+v accepted", axes)
 		}
-		if _, err := Sweep(context.Background(), axes, 1); err == nil {
+		if _, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1}); err == nil {
 			t.Fatalf("Sweep accepted axes %+v", axes)
 		}
 	}
@@ -138,7 +138,7 @@ func TestSweepSGXMinorCollapse(t *testing.T) {
 		}
 	}
 
-	rows, err := Sweep(context.Background(), axes, 2)
+	rows, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,12 @@ func TestSweepOverrides(t *testing.T) {
 	axes := tinyAxes()
 	axes.MinorBits = []uint{7}
 	axes.Seeds = 1
-	plain, err := Sweep(context.Background(), axes, 1)
+	plain, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	axes.Set = []string{"QueueDelay=80"}
-	slow, err := Sweep(context.Background(), axes, 1)
+	slow, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestSweepOverrides(t *testing.T) {
 	}
 
 	axes.Set = []string{"NoSuchField=1"}
-	if _, err := Sweep(context.Background(), axes, 1); err == nil {
+	if _, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1}); err == nil {
 		t.Fatal("unknown override field accepted")
 	}
 	axes.Set = []string{"broken"}
-	if _, err := Sweep(context.Background(), axes, 1); err == nil {
+	if _, err := SweepOpts(context.Background(), axes, SweepOptions{Workers: 1}); err == nil {
 		t.Fatal("malformed override accepted")
 	}
 }

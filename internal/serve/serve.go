@@ -126,7 +126,7 @@ type Server struct {
 	mu         sync.Mutex
 	cond       *sync.Cond // broadcast on any row, state change, or drain
 	sweeps     map[string]*sweepRun
-	order      []string            // submission order; /v1/status iterates this, never the map
+	order      []string             // submission order; /v1/status iterates this, never the map
 	byFP       map[string]*sweepRun // queued/running dedup
 	nextID     int
 	workerAddr string // active sweep's listener address, "" when idle
@@ -311,15 +311,16 @@ func (s *Server) runOne(ctx context.Context, r *sweepRun) {
 		Revive:       s.cfg.Revive,
 		RetryBackoff: runner.ExpBackoff(100 * time.Millisecond),
 		Cache:        s.cache,
-		OnRow: func(row experiments.SweepRow, cached bool) {
+		OnRow: func(row any, cached bool) {
+			sr := row.(experiments.SweepRow)
 			s.mu.Lock()
-			r.live = append(r.live, row)
+			r.live = append(r.live, sr)
 			if cached {
 				r.Cached++
 			} else {
 				r.Computed++
 			}
-			if row.Quarantined {
+			if sr.Quarantined {
 				r.Quarantined++
 			}
 			s.mu.Unlock()

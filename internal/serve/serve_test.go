@@ -42,7 +42,7 @@ func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server, contex
 				ID:        fmt.Sprintf("t-%d-%d", slot, attempt),
 				Heartbeat: 50 * time.Millisecond,
 				Token:     testToken,
-				Init:      experiments.NewSweepSession,
+				Init:      experiments.NewJobSession,
 			}
 			return w.Run(ctx, conn)
 		},
